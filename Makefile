@@ -41,7 +41,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-check: build vet test test-race bench-mc-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
+check: build vet test test-race bench-mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
 
 # Model-checker scaling sweep (docs/MODEL-CHECKER.md): exhaustive
 # exploration of the litmus+seqlock corpus at 1..8 workers, appending
@@ -136,7 +136,9 @@ bench-mc-smoke:
 
 # End-to-end smoke of the happens-before race detector (docs/RACES.md):
 # the seqlock-gap corpus program must be flagged racy before porting
-# and verified race-free after, through every CLI surface. Built
+# and verified race-free after, through every CLI surface: the
+# explanation, the exhaustive checker, one seeded run, and the
+# schedule-grid sweep. Built
 # binaries, not `go run`, so exit codes survive intact.
 race-smoke:
 	$(GO) build -o bin/ ./cmd/atomig ./cmd/atomig-mc ./cmd/atomig-run
@@ -145,6 +147,8 @@ race-smoke:
 	bin/atomig-mc -race -stats -port -corpus seqlock-gap
 	bin/atomig-run -race -model wmm -sched reorder -corpus seqlock-gap; test $$? -eq 3
 	bin/atomig-run -race -model wmm -sched reorder -port -corpus seqlock-gap
+	bin/atomig-mc -stress -seeds 4 -corpus seqlock-gap; test $$? -eq 4
+	bin/atomig-mc -stress -seeds 4 -port -corpus seqlock-gap
 
 # End-to-end smoke of the observability exports (docs/OBSERVABILITY.md):
 # a parallel ported check must emit a metrics snapshot and a Chrome

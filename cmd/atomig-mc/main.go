@@ -12,8 +12,10 @@
 // schedule-fuzzing stress engine (docs/STRESS.md): a seeded sweep of
 // controlled-random schedules with the race detector sampling -sample
 // of the plain locations — no verdict proof, but production-scale
-// throughput. -minimize reduces the first race found to a
-// litmus-sized program and confirms it exhaustively:
+// throughput, under -model tso or wmm. It is the one schedule-sweep
+// CLI; atomig-run replays any single schedule it reports. -minimize
+// reduces the first race found to a litmus-sized program and confirms
+// it exhaustively:
 //
 //	atomig-mc -stress -seeds 500 -sample 0.25 -j 8 -entries t0,t1 big.c
 //	atomig-mc -stress -minimize -corpus seqlock-gap
@@ -127,6 +129,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, fmt.Errorf("-j %d: need at least one worker", *workers))
 	}
 	if *stressMode {
+		if mm == memmodel.ModelSC {
+			// stress.Options reads the zero Model as its WMM default.
+			return fail(stderr, fmt.Errorf("-stress sweeps run under -model tso or wmm, not sc"))
+		}
 		code := runStress(stdout, stderr, mod, mm, entryList,
 			*seeds, *sample, *baseSeed, *workers, *minimize, prov)
 		if err := of.Close(prov); err != nil {

@@ -45,6 +45,7 @@ func TestMalformedInputs(t *testing.T) {
 		{"malformed minic", []string{"-entries", "a", writeFile(t, "bad.c", "void f( {")}},
 		{"malformed air", []string{"-entries", "a", writeFile(t, "bad.air", "define [")}},
 		{"bad resume token", []string{"-corpus", "mp", "-resume", "not-a-token"}},
+		{"stress under sc", []string{"-corpus", "mp", "-stress", "-model", "sc"}},
 	}
 	for _, tc := range cases {
 		code, _, stderr := runMC(t, tc.args...)

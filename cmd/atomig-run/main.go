@@ -1,6 +1,8 @@
 // Command atomig-run executes a corpus program (or MiniC/.air file) on
 // the VM under a chosen memory model — the quickest way to watch a
-// program behave, misbehave, or cost cycles.
+// program behave, misbehave, or cost cycles. It runs one seeded
+// schedule; `atomig-mc -stress` sweeps the grid of them, and any
+// schedule a sweep reports replays here from its mode and seed.
 //
 // Usage:
 //
@@ -8,7 +10,7 @@
 //	atomig-run -corpus mp -model wmm -seed 13     # hunt a weak behavior
 //	atomig-run -corpus mp -model wmm -sched starve -watchdog
 //	atomig-run -corpus memcached -port -profile   # port, then profile
-//	atomig-run -corpus mp -model wmm -stress -seeds 500 -j 8
+//	atomig-run -corpus mp -mc -model wmm -sched delay -seed <seed>   # replay a sweep finding
 //	atomig-run -entries main_thread file.c
 //
 // Exit codes: 0 the execution completed, 1 the execution failed (assert
@@ -34,7 +36,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/race"
-	"repro/internal/stress"
 	"repro/internal/vm"
 )
 
@@ -57,11 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	profile := fs.Bool("profile", false, "print the per-function cycle profile")
 	detectRaces := fs.Bool("race", false, "attach the happens-before race detector and report data races")
 	mcHarness := fs.Bool("mc", false, "use the corpus program's model-checking harness instead of the perf harness")
-	sweep := fs.Bool("sweep", false, "race-sweep every scheduler mode instead of one seeded run (implies -race)")
-	stressMode := fs.Bool("stress", false, "stress-sweep the schedule grid on the plain-execution fast path (docs/STRESS.md; implies -race)")
-	sweepSeeds := fs.Int("seeds", 0, "seeds per scheduler mode (0 = 4 under -sweep, 256 under -stress)")
-	sample := fs.Float64("sample", 1, "fraction of plain locations the detector observes under -stress (0,1]")
-	workers := fs.Int("j", runtime.GOMAXPROCS(0), "parallel workers for -sweep")
+	workers := fs.Int("j", runtime.GOMAXPROCS(0), "parallel frontend workers when compiling a .c file")
 	var of obs.CLIFlags
 	of.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -117,17 +114,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mm = memmodel.ModelWMM
 	default:
 		return fail(stderr, fmt.Errorf("unknown model %q", *model))
-	}
-
-	if *stressMode {
-		return runStress(stdout, stderr, mod, mm, entryList, *sweepSeeds, *sample, *maxSteps, *workers, prov)
-	}
-	if *sweep {
-		seeds := *sweepSeeds
-		if seeds == 0 {
-			seeds = 4
-		}
-		return runSweep(stdout, stderr, mod, mm, entryList, seeds, *maxSteps, *workers, prov)
 	}
 
 	var det *race.Detector
@@ -192,86 +178,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if det != nil && det.Races() > 0 {
-		return 3
-	}
-	return 0
-}
-
-// runSweep fans a full race sweep (every scheduler mode x seeds) out
-// across the -j workers; results are worker-count-invariant, so -j only
-// changes the wall-clock time.
-func runSweep(stdout, stderr io.Writer, mod *ir.Module, mm memmodel.Model, entryList []string, seeds int, maxSteps int64, workers int, prov *obs.Provider) int {
-	res, err := race.Sweep(mod, race.SweepOptions{
-		Model:    mm,
-		Entries:  entryList,
-		Seeds:    seeds,
-		MaxSteps: maxSteps,
-		Workers:  workers,
-		Obs:      prov,
-	})
-	if err != nil {
-		return fail(stderr, err)
-	}
-	fmt.Fprintf(stdout, "race sweep: %d executions across %d scheduler modes (%d workers)\n",
-		res.Executions, len(vm.AllSchedModes()), workers)
-	for _, v := range res.Violations {
-		fmt.Fprintf(stdout, "violation: %s\n", v)
-	}
-	if n := res.Detector.Races(); n == 0 {
-		fmt.Fprintln(stdout, "races: none")
-	} else {
-		fmt.Fprintf(stdout, "races: %d distinct\n", n)
-		fmt.Fprint(stdout, race.FormatReports(res.Races()))
-	}
-	if len(res.Violations) > 0 {
-		return 1
-	}
-	if res.Detector.Races() > 0 {
-		return 3
-	}
-	return 0
-}
-
-// runStress drives the schedule-fuzzing engine: the plain-execution
-// fast path with pooled VMs, every scheduler mode x -seeds schedules,
-// the detector sampling -sample of the plain locations. Findings print
-// with their schedule provenance — replay any of them with
-// `-sched <mode> -seed <seed> -race`.
-func runStress(stdout, stderr io.Writer, mod *ir.Module, mm memmodel.Model, entryList []string, seeds int, sample float64, maxSteps int64, workers int, prov *obs.Provider) int {
-	res, err := stress.Sweep(mod, stress.Options{
-		Model:    mm,
-		Entries:  entryList,
-		Seeds:    seeds,
-		Sample:   sample,
-		MaxSteps: maxSteps,
-		Workers:  workers,
-		Obs:      prov,
-	})
-	if err != nil {
-		return fail(stderr, err)
-	}
-	rate := float64(res.Schedules)
-	if s := res.Elapsed.Seconds(); s > 0 {
-		rate /= s
-	}
-	fmt.Fprintf(stdout, "stress sweep: %d schedules across %d scheduler modes (%d workers, %.0f/s, %d steps)\n",
-		res.Schedules, len(vm.AllSchedModes()), workers, rate, res.Steps)
-	if res.Skipped > 0 {
-		fmt.Fprintf(stdout, "sampling: %d accesses forwarded, %d sampled out\n", res.Forwarded, res.Skipped)
-	}
-	for _, f := range res.Findings {
-		fmt.Fprintf(stdout, "finding: %s\n", f)
-	}
-	if n := res.Detector.Races(); n == 0 {
-		fmt.Fprintln(stdout, "races: none")
-	} else {
-		fmt.Fprintf(stdout, "races: %d distinct\n", n)
-		fmt.Fprint(stdout, race.FormatReports(res.Races()))
-	}
-	if len(res.Violations()) > 0 {
-		return 1
-	}
-	if res.Detector.Races() > 0 {
 		return 3
 	}
 	return 0

@@ -68,9 +68,10 @@ import (
 	"repro/internal/memmodel"
 	"repro/internal/minic"
 	"repro/internal/obs"
-	"repro/internal/race"
 	"repro/internal/serve"
+	"repro/internal/stress"
 	"repro/internal/transform"
+	"repro/internal/vm"
 	"repro/internal/weaken"
 )
 
@@ -256,16 +257,20 @@ func explain(stdout, stderr io.Writer, mod *ir.Module, corpusName, entries strin
 	if err != nil {
 		return fail(stderr, fmt.Errorf("-explain-races needs thread entries (use -entries a,b or a corpus program with a model-checking harness)"))
 	}
-	res, err := race.Sweep(mod, race.SweepOptions{
-		Model:   memmodel.ModelWMM,
-		Entries: entryList,
-		Obs:     prov,
+	res, err := stress.Sweep(mod, stress.Options{
+		Model:    memmodel.ModelWMM,
+		Entries:  entryList,
+		Seeds:    4,
+		BaseSeed: 1,
+		Sample:   1,
+		MaxSteps: vm.DefaultMaxSteps,
+		Obs:      prov,
 	})
 	if err != nil {
 		return fail(stderr, err)
 	}
 	fmt.Fprintf(stdout, "race sweep: %d executions, %d distinct race(s)\n",
-		res.Executions, res.Detector.Races())
+		res.Schedules, res.Detector.Races())
 	exp := atomig.ExplainRaces(mod, res.Races())
 	if len(weakened) > 0 {
 		notes := make([]atomig.WeakenedNote, 0, len(weakened))

@@ -7,10 +7,13 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/memmodel"
 	"repro/internal/race"
+	"repro/internal/stress"
+	"repro/internal/vm"
 )
 
 // sweepCorpus compiles a corpus program and runs the race detector over
-// it, returning the module and the reports.
+// it with the -explain-races sweep, returning the explanation and its
+// rendering.
 func sweepCorpus(t *testing.T, name string) (*RaceExplanation, string) {
 	t.Helper()
 	p := corpus.Get(name)
@@ -21,9 +24,13 @@ func sweepCorpus(t *testing.T, name string) (*RaceExplanation, string) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	res, err := race.Sweep(m, race.SweepOptions{
-		Model:   memmodel.ModelWMM,
-		Entries: p.MCEntries,
+	res, err := stress.Sweep(m, stress.Options{
+		Model:    memmodel.ModelWMM,
+		Entries:  p.MCEntries,
+		Seeds:    4,
+		BaseSeed: 1,
+		Sample:   1,
+		MaxSteps: vm.DefaultMaxSteps,
 	})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)

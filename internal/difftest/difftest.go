@@ -28,6 +28,7 @@ import (
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/race"
+	"repro/internal/stress"
 	"repro/internal/transform"
 	"repro/internal/vm"
 )
@@ -63,7 +64,7 @@ type Options struct {
 	// Obs, when non-nil, traces the harness stages on the "difftest"
 	// track, counts grid progress (difftest.cells_completed,
 	// difftest.reference_runs_completed), and threads through to the
-	// pipeline, VM and race-sweep metrics.
+	// pipeline, VM and stress-sweep metrics.
 	Obs *obs.Provider
 }
 
@@ -78,7 +79,8 @@ type Result struct {
 	Reference map[string][]int64
 	// Runs is the number of weak-memory executions compared.
 	Runs int
-	// RaceExecutions is the number of detector-attached executions when
+	// RaceExecutions is the number of schedules the race sweep of the
+	// ported program ran (stress.Result.Schedules) when
 	// Options.DetectRaces is set.
 	RaceExecutions int
 }
@@ -264,12 +266,14 @@ func gridRun(n, workers int, fn func(i int) error) error {
 // (reported as an infrastructure error, since difftest inputs are
 // generated to be data-race-free once fully ported).
 func checkRaces(orig, ported *ir.Module, entries []string, modes []vm.SchedMode, seeds int, maxSteps int64, workers int, p *obs.Provider) (int, error) {
-	sweep := func(m *ir.Module) (*race.SweepResult, error) {
-		return race.Sweep(m, race.SweepOptions{
+	sweep := func(m *ir.Module) (*stress.Result, error) {
+		return stress.Sweep(m, stress.Options{
 			Model:    memmodel.ModelWMM,
 			Entries:  entries,
 			Modes:    modes,
 			Seeds:    seeds,
+			BaseSeed: 1,
+			Sample:   1,
 			MaxSteps: maxSteps,
 			Workers:  workers,
 			Obs:      p,
@@ -280,23 +284,23 @@ func checkRaces(orig, ported *ir.Module, entries []string, modes []vm.SchedMode,
 		return 0, fmt.Errorf("difftest: race sweep of ported program: %w", err)
 	}
 	if pres.Detector.Races() == 0 {
-		return pres.Executions, nil
+		return pres.Schedules, nil
 	}
 	control, err := ir.CloneModule(orig)
 	if err != nil {
-		return pres.Executions, fmt.Errorf("difftest: clone for naive control: %w", err)
+		return pres.Schedules, fmt.Errorf("difftest: clone for naive control: %w", err)
 	}
 	transform.Naive(control)
 	cres, err := sweep(control)
 	if err != nil {
-		return pres.Executions, fmt.Errorf("difftest: race sweep of naive control: %w", err)
+		return pres.Schedules, fmt.Errorf("difftest: race sweep of naive control: %w", err)
 	}
 	if cres.Detector.Races() == 0 {
-		return pres.Executions, fmt.Errorf(
+		return pres.Schedules, fmt.Errorf(
 			"difftest: ported program races but the naive-SC control does not — the port missed a promotion:\n%s",
 			race.FormatReports(pres.Races()))
 	}
-	return pres.Executions, fmt.Errorf(
+	return pres.Schedules, fmt.Errorf(
 		"difftest: program races even under the naive-SC control (%d ported / %d control reports):\n%s",
 		pres.Detector.Races(), cres.Detector.Races(), race.FormatReports(pres.Races()))
 }

@@ -22,9 +22,8 @@ func (d *Detector) ExecNewReports() []*Report { return d.reports[d.execStart:] }
 
 // Adopt replaces the detector's findings with an externally merged
 // list, rebuilding the dedup index so the detector keeps deduplicating
-// correctly if it is reused for further sweeps. The parallel sweeps
-// (race.Sweep, stress.Sweep) use it to publish MergeReports output
-// through a regular detector.
+// correctly if it is reused for further sweeps. stress.Sweep uses it to
+// publish its merged, key-sorted reports through a regular detector.
 func (d *Detector) Adopt(reports []*Report) {
 	d.reports = append(d.reports[:0], reports...)
 	d.seen = make(map[string]*Report, len(reports))
@@ -35,11 +34,11 @@ func (d *Detector) Adopt(reports []*Report) {
 }
 
 // MergeReports merges report lists from independent detectors (one per
-// model-checker worker, one per sweep shard): duplicates collapse with
-// summed occurrence counts, keeping the first list's representative,
-// and the result is sorted by Key so the merged order is deterministic
-// regardless of which detector found what first. max caps the merged
-// list (0 = no cap).
+// model-checker worker): duplicates collapse with summed occurrence
+// counts, keeping the first list's representative, and the result is
+// sorted by Key so the merged order is deterministic regardless of
+// which detector found what first. max caps the merged list (0 = no
+// cap).
 func MergeReports(max int, lists ...[]*Report) []*Report {
 	seen := make(map[string]*Report)
 	keys := make([]string, 0, 16)

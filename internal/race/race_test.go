@@ -1,19 +1,18 @@
 // Corpus integration tests for the race detector. These live in an
-// external test package because they drive the atomig porting pipeline,
-// which itself imports internal/race for race explanation.
+// external test package because they drive the atomig porting pipeline
+// and the stress sweep engine, which both import internal/race.
 package race_test
 
 import (
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/atomig"
 	"repro/internal/corpus"
 	"repro/internal/ir"
-	"repro/internal/leakcheck"
 	"repro/internal/memmodel"
 	"repro/internal/race"
+	"repro/internal/stress"
 	"repro/internal/transform"
 	"repro/internal/vm"
 )
@@ -49,6 +48,20 @@ func port(t *testing.T, m *ir.Module, strategy string) {
 	}
 }
 
+// sweep runs the detector over a schedule grid the way the race-sweep
+// callers (atomig -explain-races, serve, difftest) do: every plain
+// location observed, under the VM's own step budget, grid anchored at
+// base seed 1.
+func sweep(t *testing.T, m *ir.Module, opts stress.Options) *stress.Result {
+	t.Helper()
+	opts.BaseSeed, opts.Sample, opts.MaxSteps = 1, 1, vm.DefaultMaxSteps
+	res, err := stress.Sweep(m, opts)
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	return res
+}
+
 // raceCases is the shared table: every program the detector must flag
 // on the legacy source, with the port strategy whose output must be
 // race-free.
@@ -75,15 +88,12 @@ func TestLegacyProgramsRaceUnderEveryMode(t *testing.T) {
 		for _, mode := range vm.AllSchedModes() {
 			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
 				p, m := compileProgram(t, tc.name)
-				res, err := race.Sweep(m, race.SweepOptions{
+				res := sweep(t, m, stress.Options{
 					Model:   memmodel.ModelWMM,
 					Entries: p.MCEntries,
 					Modes:   []vm.SchedMode{mode},
 					Seeds:   2,
 				})
-				if err != nil {
-					t.Fatalf("sweep: %v", err)
-				}
 				if res.Detector.Races() == 0 {
 					t.Fatalf("no races reported for legacy %s under %s", tc.name, mode)
 				}
@@ -100,14 +110,11 @@ func TestPortedProgramsRaceFree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p, m := compileProgram(t, tc.name)
 			port(t, m, tc.port)
-			res, err := race.Sweep(m, race.SweepOptions{
+			res := sweep(t, m, stress.Options{
 				Model:   memmodel.ModelWMM,
 				Entries: p.MCEntries,
 				Seeds:   4,
 			})
-			if err != nil {
-				t.Fatalf("sweep: %v", err)
-			}
 			if n := res.Detector.Races(); n != 0 {
 				t.Fatalf("ported %s (%s) still races (%d reports):\n%s",
 					tc.name, tc.port, n, race.FormatReports(res.Races()))
@@ -116,8 +123,8 @@ func TestPortedProgramsRaceFree(t *testing.T) {
 			// naive all-SC port eliminates races, but this machine's SC
 			// atomics deliberately keep weak outcomes unless fenced (see
 			// memmodel.EligibleReads), so sb's assert may still trip.
-			if tc.port == "atomig" && len(res.Violations) != 0 {
-				t.Fatalf("ported %s (%s) failed executions: %v", tc.name, tc.port, res.Violations)
+			if v := res.Violations(); tc.port == "atomig" && len(v) != 0 {
+				t.Fatalf("ported %s (%s) failed executions: %v", tc.name, tc.port, v)
 			}
 		})
 	}
@@ -129,13 +136,11 @@ func TestPortedProgramsRaceFree(t *testing.T) {
 // the writer still stores with plain accesses).
 func TestSeqlockGapReportsExactField(t *testing.T) {
 	p, m := compileProgram(t, "seqlock-gap")
-	res, err := race.Sweep(m, race.SweepOptions{
+	res := sweep(t, m, stress.Options{
 		Model:   memmodel.ModelWMM,
 		Entries: p.MCEntries,
+		Seeds:   4,
 	})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
 	var found bool
 	var locs []string
 	for _, r := range res.Races() {
@@ -163,16 +168,33 @@ func TestDetectorFlagsRacesUnderStrongModels(t *testing.T) {
 	for _, model := range []memmodel.Model{memmodel.ModelSC, memmodel.ModelTSO} {
 		t.Run(model.String(), func(t *testing.T) {
 			p, m := compileProgram(t, "mp")
-			res, err := race.Sweep(m, race.SweepOptions{
-				Model:   model,
-				Entries: p.MCEntries,
-				Modes:   []vm.SchedMode{vm.SchedRandom},
-				Seeds:   2,
-			})
-			if err != nil {
-				t.Fatalf("sweep: %v", err)
+			var races int
+			if model == memmodel.ModelSC {
+				// stress.Options reads the zero Model (ModelSC) as its
+				// WMM default, so the SC machine is driven directly:
+				// the same two random-mode grid cells, one detector.
+				det := race.New(model, race.Options{})
+				for s := int64(1); s <= 2; s++ {
+					det.BeginExec()
+					if _, err := vm.Run(m, vm.Options{
+						Model:      model,
+						Entries:    p.MCEntries,
+						Controller: vm.NewScheduler(vm.SchedRandom, vm.GridSeed(1, vm.SchedRandom, s)),
+						Hook:       det,
+					}); err != nil {
+						t.Fatalf("run: %v", err)
+					}
+				}
+				races = det.Races()
+			} else {
+				races = sweep(t, m, stress.Options{
+					Model:   model,
+					Entries: p.MCEntries,
+					Modes:   []vm.SchedMode{vm.SchedRandom},
+					Seeds:   2,
+				}).Detector.Races()
 			}
-			if res.Detector.Races() == 0 {
+			if races == 0 {
 				t.Fatalf("mp not flagged under %s: races are model-independent", model)
 			}
 		})
@@ -184,15 +206,12 @@ func TestDetectorFlagsRacesUnderStrongModels(t *testing.T) {
 // location.
 func TestReportProvenance(t *testing.T) {
 	p, m := compileProgram(t, "mp")
-	res, err := race.Sweep(m, race.SweepOptions{
+	res := sweep(t, m, stress.Options{
 		Model:   memmodel.ModelWMM,
 		Entries: p.MCEntries,
 		Modes:   []vm.SchedMode{vm.SchedRandom},
 		Seeds:   1,
 	})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
 	out := race.FormatReports(res.Races())
 	for _, want := range []string{"data race on @", "@writer", "@reader", "clock"} {
 		if !strings.Contains(out, want) {
@@ -201,22 +220,17 @@ func TestReportProvenance(t *testing.T) {
 	}
 }
 
-// TestDedupAcrossExecutions checks that one detector observing many
-// executions reports each site pair once with an occurrence count,
-// not once per execution.
+// TestDedupAcrossExecutions checks that a sweep's many executions
+// report each site pair once with an occurrence count, not once per
+// execution.
 func TestDedupAcrossExecutions(t *testing.T) {
 	p, m := compileProgram(t, "sb")
-	det := race.New(memmodel.ModelWMM, race.Options{})
-	_, err := race.Sweep(m, race.SweepOptions{
-		Model:    memmodel.ModelWMM,
-		Entries:  p.MCEntries,
-		Detector: det,
-		Seeds:    4,
+	res := sweep(t, m, stress.Options{
+		Model:   memmodel.ModelWMM,
+		Entries: p.MCEntries,
+		Seeds:   4,
 	})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	n := det.Races()
+	n := res.Detector.Races()
 	if n == 0 {
 		t.Fatal("no races on sb")
 	}
@@ -226,7 +240,7 @@ func TestDedupAcrossExecutions(t *testing.T) {
 		t.Fatalf("dedup failed: %d distinct reports", n)
 	}
 	var counted bool
-	for _, r := range det.Reports() {
+	for _, r := range res.Races() {
 		if r.Count > 1 {
 			counted = true
 		}
@@ -237,69 +251,17 @@ func TestDedupAcrossExecutions(t *testing.T) {
 }
 
 // TestMaxReportsCap checks the report cap: further distinct races are
-// dropped, known pairs still count.
+// dropped.
 func TestMaxReportsCap(t *testing.T) {
 	p, m := compileProgram(t, "iriw")
-	det := race.New(memmodel.ModelWMM, race.Options{MaxReports: 1})
-	if _, err := race.Sweep(m, race.SweepOptions{
-		Model:    memmodel.ModelWMM,
-		Entries:  p.MCEntries,
-		Detector: det,
-		Modes:    []vm.SchedMode{vm.SchedRandom},
-		Seeds:    2,
-	}); err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	if det.Races() != 1 {
-		t.Fatalf("cap ignored: %d reports with MaxReports=1", det.Races())
-	}
-}
-
-// TestParallelSweepDeterminism: the fanned-out sweep must report the
-// same race keys, violations (in grid order) and execution count as
-// the sequential sweep, for every worker count.
-func TestParallelSweepDeterminism(t *testing.T) {
-	leakcheck.Check(t)
-	raceKeys := func(res *race.SweepResult) string {
-		keys := make([]string, 0, len(res.Races()))
-		for _, r := range res.Races() {
-			keys = append(keys, r.Key())
-		}
-		sort.Strings(keys)
-		return strings.Join(keys, "\n")
-	}
-	for _, name := range []string{"sb", "seqlock-gap"} {
-		t.Run(name, func(t *testing.T) {
-			p, m := compileProgram(t, name)
-			run := func(workers int) *race.SweepResult {
-				res, err := race.Sweep(m, race.SweepOptions{
-					Model:   memmodel.ModelWMM,
-					Entries: p.MCEntries,
-					Seeds:   3,
-					Workers: workers,
-				})
-				if err != nil {
-					t.Fatalf("sweep (workers=%d): %v", workers, err)
-				}
-				return res
-			}
-			seq := run(0)
-			if seq.Detector.Races() == 0 {
-				t.Fatalf("sequential sweep found no races in %s", name)
-			}
-			wantKeys := raceKeys(seq)
-			for _, j := range []int{1, 2, 8} {
-				par := run(j)
-				if got := raceKeys(par); got != wantKeys {
-					t.Errorf("workers=%d race keys drifted:\n got %q\nwant %q", j, got, wantKeys)
-				}
-				if par.Executions != seq.Executions {
-					t.Errorf("workers=%d executions = %d, want %d", j, par.Executions, seq.Executions)
-				}
-				if strings.Join(par.Violations, "\n") != strings.Join(seq.Violations, "\n") {
-					t.Errorf("workers=%d violations drifted:\n got %q\nwant %q", j, par.Violations, seq.Violations)
-				}
-			}
-		})
+	res := sweep(t, m, stress.Options{
+		Model:      memmodel.ModelWMM,
+		Entries:    p.MCEntries,
+		Modes:      []vm.SchedMode{vm.SchedRandom},
+		Seeds:      2,
+		MaxReports: 1,
+	})
+	if n := res.Detector.Races(); n != 1 {
+		t.Fatalf("cap ignored: %d reports with MaxReports=1", n)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/atomig"
 	"repro/internal/mc"
 	"repro/internal/memmodel"
-	"repro/internal/race"
 	"repro/internal/stress"
+	"repro/internal/vm"
 	"repro/internal/weaken"
 )
 
@@ -119,11 +119,15 @@ func (s *Server) opExplain(ctx context.Context, req *Request, sess *session) *Re
 	if ctx.Err() != nil {
 		return errResp("", "explain-races: %v", ctx.Err())
 	}
-	res, err := race.Sweep(m, race.SweepOptions{
-		Model:   memmodel.ModelWMM,
-		Entries: req.Entries,
-		Workers: s.opts.Workers,
-		Obs:     s.opts.Obs,
+	res, err := stress.Sweep(m, stress.Options{
+		Model:    memmodel.ModelWMM,
+		Entries:  req.Entries,
+		Seeds:    4,
+		BaseSeed: 1,
+		Sample:   1,
+		MaxSteps: vm.DefaultMaxSteps,
+		Workers:  s.opts.Workers,
+		Obs:      s.opts.Obs,
 	})
 	if err != nil {
 		return errResp(ErrBadRequest, "explain-races: %v", err)
@@ -131,8 +135,8 @@ func (s *Server) opExplain(ctx context.Context, req *Request, sess *session) *Re
 	return &Response{
 		OK:         true,
 		Races:      res.Detector.Races(),
-		Executions: res.Executions,
-		Violations: res.Violations,
+		Executions: res.Schedules,
+		Violations: res.Violations(),
 		Text:       atomig.ExplainRaces(m, res.Races()).String(),
 	}
 }

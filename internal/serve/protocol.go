@@ -114,7 +114,8 @@ type Response struct {
 	// explain-races rendering.
 	Text string `json:"text,omitempty"`
 
-	// explain-races
+	// explain-races: Violations are stress.Result.Violations lines, each
+	// led by its replayable schedule (mode#ordinal and seed).
 	Races      int      `json:"races,omitempty"`
 	Executions int      `json:"executions,omitempty"`
 	Violations []string `json:"violations,omitempty"`

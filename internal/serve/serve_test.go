@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -491,6 +492,35 @@ func TestVerifyAndExplain(t *testing.T) {
 		t.Errorf("verify did not reuse the warm detection cache: %+v", v.Report)
 	}
 
+	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
+}
+
+// TestExplainViolationsReplayable: explain-races sweeps the 4-seed
+// grid of every scheduler mode, and each failed schedule is reported
+// with the mode, ordinal and seed that replay it.
+func TestExplainViolationsReplayable(t *testing.T) {
+	leakcheck.Check(t)
+	_, c := startServer(t, Options{})
+	src := `
+int flag;
+int msg;
+void writer(void) { msg = 41; flag = 1; }
+void reader(void) { while (flag == 0) { } assert(msg == 41); }
+`
+	mustOK(t, c.call(&Request{ID: "load", Op: "load", Name: "mp.c", Source: src}))
+	ex := mustOK(t, c.call(&Request{ID: "x", Op: "explain-races", Entries: []string{"reader", "writer"}}))
+	if ex.Executions != 20 {
+		t.Errorf("executions = %d, want 20 (5 modes x 4 seeds)", ex.Executions)
+	}
+	if len(ex.Violations) == 0 {
+		t.Fatal("unported message passing under WMM reported no violation")
+	}
+	line := regexp.MustCompile(`^(random|starve|delay|reorder|burst)#[1-4] \(seed -?[0-9]+\): assert-failed: `)
+	for _, v := range ex.Violations {
+		if !line.MatchString(v) {
+			t.Errorf("violation %q does not name its replay schedule", v)
+		}
+	}
 	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
 }
 

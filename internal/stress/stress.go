@@ -452,8 +452,8 @@ func (r *Result) tallyFindings() (races, violations int) {
 	return
 }
 
-// scheduleOf maps a grid cell index to its schedule (mode-major, like
-// race.Sweep).
+// scheduleOf maps a grid cell index to its schedule (mode-major: every
+// ordinal of one mode, then the next mode).
 func scheduleOf(opts Options, i int) Schedule {
 	mode := opts.Modes[i/opts.Seeds]
 	ordinal := i%opts.Seeds + 1

@@ -8,7 +8,9 @@ import (
 	"repro/internal/alias"
 	"repro/internal/appgen"
 	"repro/internal/atomig"
+	"repro/internal/corpus"
 	"repro/internal/ir"
+	"repro/internal/memmodel"
 	"repro/internal/minic"
 	"repro/internal/race"
 	"repro/internal/vm"
@@ -171,35 +173,76 @@ func TestSweepSamplingSound(t *testing.T) {
 }
 
 // TestReplayReproducesFinding: a finding's Schedule replays to the
-// same race — the seed is the whole reproduction recipe.
+// same race or the same violation — the seed is the whole reproduction
+// recipe.
 func TestReplayReproducesFinding(t *testing.T) {
-	m, entries := portedHarness(t, harnessSpec())
-	opts := Options{Entries: entries, Seeds: 12, Workers: 4}
-	res, err := Sweep(m, opts)
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	var target *Finding
-	for i := range res.Findings {
-		if res.Findings[i].Kind == FindingRace && res.Findings[i].Report.Loc == gapLoc {
-			target = &res.Findings[i]
-			break
+	t.Run("race", func(t *testing.T) {
+		m, entries := portedHarness(t, harnessSpec())
+		opts := Options{Entries: entries, Seeds: 12, Workers: 4}
+		res, err := Sweep(m, opts)
+		if err != nil {
+			t.Fatalf("sweep: %v", err)
 		}
-	}
-	if target == nil {
-		t.Fatal("no race finding to replay")
-	}
-	_, det, err := Replay(m, opts, target.Schedule, false)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	for _, r := range det.Reports() {
-		if r.Key() == target.Report.Key() {
-			return
+		var target *Finding
+		for i := range res.Findings {
+			if res.Findings[i].Kind == FindingRace && res.Findings[i].Report.Loc == gapLoc {
+				target = &res.Findings[i]
+				break
+			}
 		}
-	}
-	t.Fatalf("replay of %s did not reproduce race %s; got:\n%s",
-		target.Schedule, target.Report.Key(), race.FormatReports(det.Reports()))
+		if target == nil {
+			t.Fatal("no race finding to replay")
+		}
+		_, det, err := Replay(m, opts, target.Schedule, false)
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		for _, r := range det.Reports() {
+			if r.Key() == target.Report.Key() {
+				return
+			}
+		}
+		t.Fatalf("replay of %s did not reproduce race %s; got:\n%s",
+			target.Schedule, target.Report.Key(), race.FormatReports(det.Reports()))
+	})
+	// Unported mp under WMM: the reader can see the flag before the
+	// message, tripping the harness assertion. The violation line names
+	// the schedule, and that schedule alone fails the same way again.
+	t.Run("violation", func(t *testing.T) {
+		p := corpus.Get("mp")
+		m, err := p.Compile()
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		opts := Options{Model: memmodel.ModelWMM, Entries: p.MCEntries, Seeds: 4, Workers: 4}
+		res, err := Sweep(m, opts)
+		if err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
+		var target *Finding
+		for i := range res.Findings {
+			if res.Findings[i].Kind == FindingViolation {
+				target = &res.Findings[i]
+				break
+			}
+		}
+		if target == nil {
+			t.Fatal("no violation finding to replay")
+		}
+		if want := target.Schedule.String() + ": " + target.Msg; res.Violations()[0] != want {
+			t.Errorf("violation line %q, want %q", res.Violations()[0], want)
+		}
+		vres, _, err := Replay(m, opts, target.Schedule, false)
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if vres.Status != vm.StatusAssertFailed {
+			t.Fatalf("replay of %s ended %s, want %s", target.Schedule, vres.Status, vm.StatusAssertFailed)
+		}
+		if got := fmt.Sprintf("%s: %s", vres.Status, vres.FailMsg); got != target.Msg {
+			t.Fatalf("replay of %s failed with %q, want %q", target.Schedule, got, target.Msg)
+		}
+	})
 }
 
 // TestSweepStopWhen: the early-exit predicate halts the sweep without

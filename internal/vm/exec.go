@@ -179,7 +179,7 @@ func New(m *ir.Module, opts Options) (v *VM, err error) {
 		return nil, fmt.Errorf("vm: no entry functions")
 	}
 	if opts.MaxSteps == 0 {
-		opts.MaxSteps = 20_000_000
+		opts.MaxSteps = DefaultMaxSteps
 	}
 	if opts.Costs == (Costs{}) {
 		opts.Costs = DefaultCosts()

@@ -82,10 +82,10 @@ func ParseSchedMode(s string) (SchedMode, error) {
 }
 
 // GridSeed derives the scheduler seed for one cell of a (mode, seed)
-// sweep grid from a base seed. Sweeps (race.Sweep, difftest, the stress
-// engine) must not hand the same RNG seed to two grid cells: two
-// schedulers of the same mode seeded identically replay the same
-// schedule, so a grid that recycles seed values across modes or workers
+// sweep grid from a base seed. Sweeps (the stress engine, difftest)
+// must not hand the same RNG seed to two grid cells: two schedulers
+// of the same mode seeded identically replay the same schedule, so a
+// grid that recycles seed values across modes or workers
 // silently halves its coverage while reporting the full execution
 // count. GridSeed is a pure function of (base, mode, seed) — no
 // per-worker state — so the derived seed set is identical for every

@@ -129,6 +129,10 @@ type Counters struct {
 	Fences          int64
 }
 
+// DefaultMaxSteps is the instruction budget of an execution whose
+// Options.MaxSteps is zero.
+const DefaultMaxSteps = 20_000_000
+
 // Options configures an execution.
 type Options struct {
 	Model memmodel.Model
@@ -138,7 +142,7 @@ type Options struct {
 	// controller.
 	Controller Controller
 	Seed       int64
-	// MaxSteps bounds the total instruction count (0 = default bound).
+	// MaxSteps bounds the total instruction count (0 = DefaultMaxSteps).
 	MaxSteps int64
 	Costs    Costs
 	// TraceVisible records every visible operation in Result.Trace
