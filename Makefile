@@ -121,9 +121,12 @@ stress-smoke:
 	sh scripts/stress-smoke.sh bin/atomig bin/atomig-bench bin/atomig-mc bin $(STRESS_SMOKE_SLOC)
 
 # End-to-end smoke of the weakening optimizer (docs/WEAKENING.md):
-# port + -O the seqlock-gap and cna-lock flagships through the CLI,
-# asserting the baseline verdict holds and the static cost strictly
-# decreases. Built binary, not `go run`, so exit codes survive intact.
+# port + -O the seqlock-gap and cna-lock flagships through the CLI at
+# -j 1 and -j 4, asserting the baseline verdict holds, the static cost
+# strictly decreases, both reports are byte-identical, and cna-lock
+# spends at most 64 checker re-verifications (an exact count, so a
+# noise-free regression gate). Built binary, not `go run`, so exit
+# codes survive intact.
 weaken-smoke:
 	$(GO) build -o bin/ ./cmd/atomig
 	sh scripts/weaken-smoke.sh bin/atomig

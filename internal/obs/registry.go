@@ -113,6 +113,14 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[bits.Len64(uint64(v))].Add(1)
 }
 
+// Count returns the number of observations so far (0 on nil).
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
+
 // BucketUpper returns the inclusive upper bound of bucket i.
 func BucketUpper(i int) int64 {
 	if i <= 0 {

@@ -17,15 +17,19 @@
 // refused outright: the optimizer only transforms programs whose
 // checkable specification currently holds.
 //
-// The loop is round-based so independent candidates verify in
-// parallel without losing determinism: a screening pool (Options.
-// Workers) checks every candidate of the round against a private
-// clone of the current module, then a sequential merge re-applies the
-// survivors in site order, re-verifying cumulatively — two weakenings
-// each safe alone may be unsafe together, and only the cumulative
-// check can admit them. Screening verdicts and the merge order are
-// both deterministic, so the weakened module is byte-identical for
-// every worker count (TestWeakenDeterministicAcrossWorkers).
+// The loop is round-based and group-tested. A round first verifies the
+// first alternative of every site as one batch against the live module
+// and commits it whole when it is accepted. Otherwise a screening pool
+// (Options.Workers) checks every candidate against a private clone of
+// the current module, and a sequential merge commits the survivors in
+// site order, verifying them as one cumulative batch and bisecting only
+// on rejection — two weakenings each safe alone may be unsafe together,
+// and only the cumulative check can admit them. Weakening only adds
+// behaviours, so acceptance is monotone and the result equals merging
+// the survivors one at a time (TestGroupMergeMatchesReference).
+// Screening verdicts and the merge order are both deterministic, so
+// the weakened module is byte-identical for every worker count
+// (TestWeakenDeterministicAcrossWorkers).
 //
 // docs/WEAKENING.md is the subsystem reference: algorithm, cost
 // model, soundness argument, and budget semantics.
@@ -105,7 +109,8 @@ type Options struct {
 	// Context, when non-nil, cancels the optimization between
 	// candidate verifications; the module is left in the last
 	// verified state (every committed weakening has already been
-	// re-verified cumulatively, so a canceled run is still sound).
+	// re-verified cumulatively, and a batch applied for a check that
+	// is canceled is reverted, so a canceled run is still sound).
 	Context context.Context
 	// Obs, when non-nil, records weaken.* counters and spans
 	// (docs/OBSERVABILITY.md).
@@ -187,8 +192,13 @@ type Result struct {
 	FuncsInScope int `json:"funcs_in_scope"`
 	FuncsSkipped int `json:"funcs_skipped,omitempty"`
 
-	// Tried / Accepted / Rejected count candidate verifications:
-	// screening and merge checks both count toward Tried.
+	// Tried / Accepted / Rejected count candidates by outcome. Accepted
+	// candidates were committed (Accepted == len(Decisions)); rejected
+	// ones failed a screen or were blamed by bisection; Tried is their
+	// sum. A candidate passed over because an earlier alternative of
+	// its site committed has no outcome and is not counted. One
+	// verification can vouch for many candidates: MCChecks and
+	// StressChecks are the verification cost.
 	Tried    int `json:"tried"`
 	Accepted int `json:"accepted"`
 	Rejected int `json:"rejected"`
@@ -202,7 +212,8 @@ type Result struct {
 	Decisions []Decision `json:"decisions,omitempty"`
 
 	// MCChecks and MCExecutions total the exhaustive checker work spent
-	// (baseline + screening + merge); MCTime is its wall clock.
+	// (baseline + batches + screening + bisection); MCTime is its wall
+	// clock.
 	MCChecks     int           `json:"mc_checks"`
 	MCExecutions int           `json:"mc_executions"`
 	MCTime       time.Duration `json:"mc_time_ns"`
@@ -263,7 +274,13 @@ type weakener struct {
 // orderings are present; it never strengthens). Callers that need the
 // original should clone first (OptimizeClone). Internal panics are
 // contained and returned as errors.
-func Optimize(m *ir.Module, opts Options) (res *Result, err error) {
+func Optimize(m *ir.Module, opts Options) (*Result, error) {
+	return optimize(m, opts, (*weakener).round)
+}
+
+// optimize is Optimize with the round as a parameter, so a test can run
+// a reference merge through the same baseline, loop and accounting.
+func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, error)) (res *Result, err error) {
 	defer diag.Guard("weaken.Optimize", &err)
 	if len(opts.Entries) == 0 {
 		return nil, fmt.Errorf("weaken: no entry functions (the checker needs a harness)")
@@ -362,7 +379,7 @@ func Optimize(m *ir.Module, opts Options) (res *Result, err error) {
 		}
 		w.res.Rounds++
 		rs := trk.Begin("weaken.round").Arg("round", w.res.Rounds)
-		changed, err := w.round(workers)
+		changed, err := round(w, workers)
 		rs.Arg("changed", changed).End()
 		if err != nil {
 			w.res.Duration = time.Since(start)
@@ -521,12 +538,63 @@ func ladder(op ir.Op, ord ir.MemOrder) []ir.MemOrder {
 	return nil
 }
 
-// round proposes one ladder step per active site, screens all
-// candidates in parallel against clones of the current module, then
-// merges the survivors sequentially in site order with cumulative
-// re-verification. It reports whether any site changed. A site whose
-// round candidates all fail is frozen: its ordering is final.
+// round proposes one ladder step per active site and merges the round
+// into the live module by group testing:
+//
+//  1. The first alternative of every site is verified as one batch. If
+//     the batch is accepted it is committed whole and screening is
+//     skipped.
+//  2. Otherwise every candidate is screened against a private clone,
+//     and merge commits the survivors, bisecting only on rejection.
+//
+// Weakening only adds behaviours, so acceptance is monotone and both
+// steps commit exactly what merging the survivors one at a time, in
+// site order, would commit (docs/WEAKENING.md). It reports whether any
+// site changed. A site none of whose candidates committed is frozen:
+// its ordering is final. A fully weakened site has an empty ladder and
+// stops generating candidates on its own.
 func (w *weakener) round(workers int) (bool, error) {
+	cands := w.candidates()
+	if len(cands) == 0 {
+		return false, nil
+	}
+
+	trk := w.opts.Obs.Track("weaken")
+	first, at := firstPerSite(cands)
+	bs := trk.Begin("weaken.merge").Arg("candidates", len(first))
+	ok, err := w.tryCommit(first)
+	bs.Arg("accepted", ok).End()
+	if err != nil || ok {
+		return ok, err
+	}
+
+	pass, err := w.screen(cands, workers)
+	if err != nil {
+		return false, err
+	}
+	var survivors []candidate
+	for ci, c := range cands {
+		if pass[ci] {
+			survivors = append(survivors, c)
+		}
+	}
+	sameBatch := true // every first alternative survived: merge's first batch is step 1's
+	for _, ci := range at {
+		sameBatch = sameBatch && pass[ci]
+	}
+	ms := trk.Begin("weaken.merge").Arg("candidates", len(survivors))
+	committed, err := w.merge(survivors, sameBatch)
+	ms.Arg("committed", len(committed)).End()
+	if err != nil {
+		return false, err
+	}
+	w.freeze(cands, committed)
+	return len(committed) > 0, nil
+}
+
+// candidates proposes the round's ladder steps: every alternative of
+// the next rung of every active site, in site order.
+func (w *weakener) candidates() []candidate {
 	var cands []candidate
 	for si := range w.sites {
 		s := &w.sites[si]
@@ -541,57 +609,84 @@ func (w *weakener) round(workers int) (bool, error) {
 			})
 		}
 	}
-	if len(cands) == 0 {
-		return false, nil
-	}
+	return cands
+}
 
-	pass, err := w.screen(cands, workers)
-	if err != nil {
-		return false, err
-	}
-
-	// Merge: commit survivors in site order, one at a time, keeping a
-	// step only if the cumulative module still re-verifies. The first
-	// alternative that commits wins its site's rung and its remaining
-	// alternatives are skipped; an alternative that failed screening or
-	// the cumulative check only disqualifies itself, never the site —
-	// a rung like acq_rel → [acquire, release] must try release even
-	// when acquire fails. Only a site none of whose alternatives
-	// committed is frozen, in the sweep after the loop.
-	ms := w.opts.Obs.Track("weaken").Begin("weaken.merge").Arg("candidates", len(cands))
-	defer ms.End()
-	changed := false
-	committed := make(map[int]bool) // siteIdx -> committed this round
-	attempted := make(map[int]bool) // siteIdx -> had a candidate considered
-	for ci, c := range cands {
-		if committed[c.siteIdx] {
-			continue
-		}
-		attempted[c.siteIdx] = true
-		if !pass[ci] {
-			continue
-		}
-		if err := w.ctxErr(); err != nil {
-			return changed, err
-		}
-		ok, err := w.commit(c)
-		if err != nil {
-			return changed, err
-		}
-		if ok {
-			committed[c.siteIdx] = true
-			changed = true
-		}
-	}
-	for si := range w.sites {
-		if attempted[si] && !committed[si] {
-			w.sites[si].frozen = true
+// freeze retires every site of the round none of whose candidates
+// committed.
+func (w *weakener) freeze(cands []candidate, committed map[int]bool) {
+	for _, c := range cands {
+		if s := &w.sites[c.siteIdx]; !committed[c.siteIdx] && !s.frozen {
+			s.frozen = true
 			w.c.frozen.Inc()
 		}
-		// A fully weakened site has an empty ladder and stops
-		// generating candidates on its own.
 	}
-	return changed, nil
+}
+
+// merge commits screened survivors in site order by group testing. It
+// verifies the first surviving alternative of every site as one
+// cumulative batch; when the batch is rejected it bisects for the first
+// candidate whose cumulative prefix fails — the first candidate a
+// one-at-a-time merge would reject. The verified prefix before it is
+// committed, the candidate is rejected, and merging continues after it,
+// so its site's next alternative is still tried (acq_rel -> release
+// after acquire fails). knownFail reports that the first batch is one
+// already rejected against the live module, so its check is skipped.
+// It returns the sites that committed.
+func (w *weakener) merge(survivors []candidate, knownFail bool) (map[int]bool, error) {
+	committed := make(map[int]bool)
+	for len(survivors) > 0 {
+		batch, at := firstPerSite(survivors)
+		ok := false
+		if !knownFail {
+			var err error
+			if ok, err = w.tryCommit(batch); err != nil {
+				return committed, err
+			}
+		}
+		knownFail = false
+		n := len(batch) // batch[:n] is committed
+		if !ok {
+			// Invariant: batch[:lo] is committed; batch[:hi] fails.
+			lo, hi := 0, len(batch)
+			for hi-lo > 1 {
+				mid := (lo + hi) / 2
+				ok, err := w.tryCommit(batch[lo:mid])
+				if err != nil {
+					return committed, err
+				}
+				if ok {
+					lo = mid
+				} else {
+					hi = mid
+				}
+			}
+			n = lo
+		}
+		for _, c := range batch[:n] {
+			committed[c.siteIdx] = true
+		}
+		if n == len(batch) {
+			break
+		}
+		w.tally(false) // batch[n] is blamed
+		survivors = survivors[at[n]+1:]
+	}
+	return committed, nil
+}
+
+// firstPerSite picks the first candidate of every site (candidates are
+// grouped by site, alternatives in ladder order) and their indices.
+func firstPerSite(cands []candidate) ([]candidate, []int) {
+	var batch []candidate
+	var at []int
+	for i, c := range cands {
+		if i == 0 || cands[i-1].siteIdx != c.siteIdx {
+			batch = append(batch, c)
+			at = append(at, i)
+		}
+	}
+	return batch, at
 }
 
 // screenOutcome is one candidate's screening verdict plus the checker
@@ -670,7 +765,9 @@ func (w *weakener) screen(cands []candidate, workers int) ([]bool, error) {
 			} else {
 				w.note(o.execs, o.elapsed)
 			}
-			w.tally(o.pass)
+			if !o.pass {
+				w.tally(false)
+			}
 		}
 	}
 	return pass, nil
@@ -709,39 +806,58 @@ func (w *weakener) screenOne(c candidate) (screenOutcome, error) {
 	}, nil
 }
 
-// commit applies one screened candidate to the live module and
-// re-verifies cumulatively, reverting on rejection or on a hard
-// checker error (the module stays in the last verified state either
-// way). Coordinates stay
-// valid across commits because ordering changes do not move
-// instructions and deletions re-resolve positions by identity.
-func (w *weakener) commit(c candidate) (bool, error) {
-	s := &w.sites[c.siteIdx]
-	blk := w.m.Funcs[s.fi].Blocks[s.bi]
-	prev := s.in.Ord
-	siteStr := race.SiteString(s.in) // before a deletion detaches it
-	var pos int
-	if c.del {
-		pos = s.pos(w.m)
-		if pos < 0 {
-			return false, fmt.Errorf("weaken: site %s vanished from its block", siteStr)
-		}
-		deleteInstr(blk, pos)
-	} else {
-		s.in.Ord = c.ord
+// applied is one candidate applied to the live module but not yet
+// committed, with what reverting and recording it need.
+type applied struct {
+	c    candidate
+	prev ir.MemOrder // the ordering before the step
+	pos  int         // a deleted fence's index in its block
+	site string      // race.SiteString before the step
+}
+
+// tryCommit applies batch to the live module in order and verifies the
+// result once. On acceptance every candidate is committed; on rejection,
+// cancellation or a hard checker error the batch is reverted, so the
+// module is always left in a verified state. Coordinates stay valid
+// because ordering changes do not move instructions and deletions
+// resolve positions by identity at apply time.
+func (w *weakener) tryCommit(batch []candidate) (bool, error) {
+	if err := w.ctxErr(); err != nil {
+		return false, err
 	}
+	done := make([]applied, 0, len(batch))
 	revert := func() {
-		if c.del {
-			insertInstr(blk, pos, s.in)
-		} else {
-			s.in.Ord = prev
+		for i := len(done) - 1; i >= 0; i-- {
+			a := done[i]
+			s := &w.sites[a.c.siteIdx]
+			if a.c.del {
+				insertInstr(w.m.Funcs[s.fi].Blocks[s.bi], a.pos, s.in)
+			} else {
+				s.in.Ord = a.prev
+			}
 		}
+	}
+	for _, c := range batch {
+		s := &w.sites[c.siteIdx]
+		a := applied{c: c, prev: s.in.Ord, site: race.SiteString(s.in)}
+		if c.del {
+			if a.pos = s.pos(w.m); a.pos < 0 {
+				revert()
+				return false, fmt.Errorf("weaken: site %s vanished from its block", a.site)
+			}
+			deleteInstr(w.m.Funcs[s.fi].Blocks[s.bi], a.pos)
+		} else {
+			s.in.Ord = c.ord
+		}
+		done = append(done, a)
 	}
 	res, el, stressed, err := w.verify(w.m, roleMerge)
+	if err == nil {
+		// A canceled check is no verdict: a stress sweep cut short
+		// reports only what it ran, so it must not commit anything.
+		err = w.ctxErr()
+	}
 	if err != nil {
-		// Options.Context promises the module is left in the last
-		// verified state — a hard checker error must not strand the
-		// unverified mutation in the live module.
 		revert()
 		return false, err
 	}
@@ -750,18 +866,26 @@ func (w *weakener) commit(c candidate) (bool, error) {
 	} else {
 		w.note(res.Executions, el)
 	}
-	ok := w.acceptFor(res, stressed)
-	w.tally(ok)
-	if !ok {
+	if !w.acceptFor(res, stressed) {
 		revert()
 		return false, nil
 	}
+	for _, a := range done {
+		w.record(a)
+	}
+	return true, nil
+}
+
+// record commits one verified step: its decision with provenance, the
+// site's state, and the run's tallies.
+func (w *weakener) record(a applied) {
+	s := &w.sites[a.c.siteIdx]
 	d := Decision{
-		Fn:    blk.Fn.Name,
-		Site:  siteStr,
+		Fn:    w.m.Funcs[s.fi].Name,
+		Site:  a.site,
 		Kind:  kindName(s.in.Op),
-		From:  prev.String(),
-		To:    c.ord.String(),
+		From:  a.prev.String(),
+		To:    a.c.ord.String(),
 		Round: w.res.Rounds,
 	}
 	if s.in.IsMemAccess() {
@@ -769,23 +893,23 @@ func (w *weakener) commit(c candidate) (bool, error) {
 			d.Loc = loc.String()
 		}
 	}
-	if c.del {
+	if a.c.del {
 		d.To = "deleted"
 		d.Deleted = true
-		d.CostDelta = w.cost.fenceCost(prev)
+		d.CostDelta = w.cost.fenceCost(a.prev)
 		s.deleted = true
 		w.res.FencesDeleted++
 		w.c.fencesDeleted.Inc()
 	} else {
 		before := *s.in
-		before.Ord = prev
+		before.Ord = a.prev
 		d.CostDelta = w.cost.InstrCost(&before) - w.cost.InstrCost(s.in)
 		s.in.SetMark(ir.MarkWeakened)
 	}
 	w.res.Decisions = append(w.res.Decisions, d)
 	w.res.CostAfter -= d.CostDelta
 	w.c.costReduced.Add(d.CostDelta)
-	return true, nil
+	w.tally(true)
 }
 
 // accepted applies the acceptance rule to one candidate verification:
@@ -806,9 +930,10 @@ func (w *weakener) accepted(res *mc.Result) bool {
 	return ok
 }
 
-// tally counts one candidate verification's outcome. Sequential only:
-// it writes plain Result fields, so screening aggregates after the
-// pool drains rather than calling it from workers.
+// tally counts one candidate's outcome: committed, or rejected by a
+// screen or by bisection. Sequential only: it writes plain Result
+// fields, so screening aggregates after the pool drains rather than
+// calling it from workers.
 func (w *weakener) tally(ok bool) {
 	w.res.Tried++
 	w.c.tried.Inc()
