@@ -3,9 +3,10 @@
 # CI-sized burst over its checked-in seed corpus.
 
 GO      ?= go
+GOFMT   ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke clean
+.PHONY: all build vet fmt-check test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke clean
 
 # Module size for the pipeline byte-identical-output smoke. Big enough
 # to exercise the parallel fan-out, small enough for `make check`.
@@ -33,6 +34,12 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails, naming the files, when gofmt would rewrite
+# any tracked .go file.
+fmt-check:
+	@files=$$(git ls-files '*.go' | xargs $(GOFMT) -l); \
+	if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -41,7 +48,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-check: build vet test test-race bench-mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
+check: build vet fmt-check test test-race bench-mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
 
 # Model-checker scaling sweep (docs/MODEL-CHECKER.md): exhaustive
 # exploration of the litmus+seqlock corpus at 1..8 workers, appending

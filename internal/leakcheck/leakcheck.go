@@ -20,18 +20,18 @@ import (
 // test machinery rather than to code under test.
 func ignored(stack string) bool {
 	for _, frag := range []string{
-		"testing.(*T).Run",       // the test runner itself
-		"testing.(*M).",          // TestMain machinery
-		"testing.runTests",       //
-		"testing.tRunner",        // subtest parents blocked on children
-		"runtime.goexit",         // fully-exited placeholder
-		"created by runtime",     // GC, scavenger, finalizer goroutines
-		"runtime/pprof",          // the profiler taking this snapshot
-		"signal.Notify",          // os/signal watcher, process-global
-		"leakcheck.snapshot",     // ourselves
-		"testing.(*F).Fuzz",      // fuzz worker coordination
-		"os/exec.(*Cmd)",         // exec helpers finishing I/O copies
-		"go.itab",                // itab init goroutines (toolchain)
+		"testing.(*T).Run",   // the test runner itself
+		"testing.(*M).",      // TestMain machinery
+		"testing.runTests",   //
+		"testing.tRunner",    // subtest parents blocked on children
+		"runtime.goexit",     // fully-exited placeholder
+		"created by runtime", // GC, scavenger, finalizer goroutines
+		"runtime/pprof",      // the profiler taking this snapshot
+		"signal.Notify",      // os/signal watcher, process-global
+		"leakcheck.snapshot", // ourselves
+		"testing.(*F).Fuzz",  // fuzz worker coordination
+		"os/exec.(*Cmd)",     // exec helpers finishing I/O copies
+		"go.itab",            // itab init goroutines (toolchain)
 	} {
 		if strings.Contains(stack, frag) {
 			return true

@@ -15,16 +15,17 @@ import (
 	"repro/internal/vm"
 )
 
-// The parallel engine splits the depth-first frontier across a worker
-// pool. A work unit is an exploration fragment: a prepared choice
-// trace plus a floor (see dfs.seed). The queue starts with one
-// fragment — the whole tree, or the fragments of the resume tokens —
-// and grows by donation: a worker that notices starved peers splits
-// the shallowest unexplored alternatives off its own frontier
-// (dfs.split) and queues them. Workers share the lock-striped visited
-// cache; every other piece of mutable state (VM, replay controller,
-// race detector, findings) is worker-private and merged
-// deterministically after the pool drains.
+// The engine splits the depth-first frontier across a worker pool. A
+// work unit is an exploration fragment: a prepared choice trace plus a
+// floor (see dfs.seed). The queue starts with one fragment — the whole
+// tree, or the fragments of the resume tokens — and grows by donation:
+// a worker that notices starved peers splits the shallowest unexplored
+// alternatives off its own frontier (dfs.split) and queues them. A
+// single worker has no peers, never donates, and so walks the plain
+// depth-first search. Workers share the lock-striped visited cache;
+// every other piece of mutable state (VM, replay controller, race
+// detector, findings) is worker-private and merged deterministically
+// after the pool drains.
 
 // unit is one frontier fragment awaiting a worker.
 type unit struct {
@@ -163,7 +164,7 @@ type mcWorker struct {
 	corrupt bool
 }
 
-// engine is the shared coordination state of one parallel check.
+// engine is the shared coordination state of one check.
 type engine struct {
 	m    *ir.Module
 	opts Options
@@ -332,27 +333,18 @@ func (e *engine) exploreFragment(w *mcWorker, d *dfs, newExec func() (*vm.VM, er
 	}
 }
 
-// checkParallel is the frontier-split engine behind Check when
-// Options.Workers (or ResumeAll) selects it. Determinism: on a fully
-// explored state space the set of reachable (memory, happens-before)
+// explore is the frontier-split engine behind Check; opts carries its
+// defaults already. Determinism: on a fully explored state space the set of reachable (memory, happens-before)
 // states is a property of the program, not of the worker schedule, so
 // the verdict, the deduplicated violation messages and the race-report
 // keys are identical for every worker count. Counterexample traces may
 // legitimately differ across worker counts (a message's earliest
 // *explored* witness depends on which equivalent branch the visited
 // cache pruned); each trace still reproduces its violation exactly.
-func checkParallel(m *ir.Module, opts Options) (res *Result, err error) {
+func explore(m *ir.Module, opts Options) (res *Result, err error) {
 	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
 	start := time.Now()
 	res = &Result{Workers: workers}
-
-	tokens := opts.ResumeAll
-	if opts.Resume != nil {
-		tokens = append([]*ResumeToken{opts.Resume}, opts.ResumeAll...)
-	}
 
 	c := newMCCounters(opts.Obs.RegistryOrNew())
 	e := &engine{
@@ -370,7 +362,7 @@ func checkParallel(m *ir.Module, opts Options) (res *Result, err error) {
 	// visited cache is copied (never adopted — tokens stay reusable).
 	carriedVios := make([]string, 0)
 	carriedCEs := make([]Counterexample, 0)
-	for _, t := range tokens {
+	for _, t := range opts.Resume {
 		c.execs.Add(int64(t.executions))
 		c.pruned.Add(int64(t.pruned))
 		c.truncated.Add(int64(t.truncated))
@@ -381,7 +373,7 @@ func checkParallel(m *ir.Module, opts Options) (res *Result, err error) {
 		}
 		e.q.put(unit{trace: append([]choice(nil), t.trace...), floor: t.floor})
 	}
-	if len(tokens) == 0 {
+	if len(opts.Resume) == 0 {
 		e.q.put(unit{})
 	}
 
@@ -562,10 +554,7 @@ func checkParallel(m *ir.Module, opts Options) (res *Result, err error) {
 		for _, t := range rem[1:] {
 			t.visited = vis
 		}
-		res.ResumeTokens = rem
-		if len(rem) == 1 {
-			res.Resume = rem[0]
-		}
+		res.Resume = rem
 	}
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,12 +23,7 @@ func verdictFingerprint(res *Result) string {
 	vios := append([]string(nil), res.Violations...)
 	sort.Strings(vios)
 	vios = dedupSorted(vios)
-	keys := make([]string, 0, len(res.Races))
-	for _, r := range res.Races {
-		keys = append(keys, r.Key())
-	}
-	sort.Strings(keys)
-	return fmt.Sprintf("verdict=%s violations=%q races=%q", res.Verdict, vios, keys)
+	return fmt.Sprintf("verdict=%s violations=%q races=%q", res.Verdict, vios, raceKeys(res))
 }
 
 func dedupSorted(s []string) []string {
@@ -40,18 +36,15 @@ func dedupSorted(s []string) []string {
 	return out
 }
 
-// TestParallelDeterminism is the issue's core acceptance criterion:
-// across worker counts 1, 2 and 8 (and against the sequential engine)
-// every litmus program yields an identical verdict, violation set and
-// race-report key set, in both plain and race-detecting mode.
-func TestParallelDeterminism(t *testing.T) {
-	programs := []struct {
-		name    string
-		src     string
-		entries []string
-	}{
-		{"mp", mpSrc, []string{"reader", "writer"}},
-		{"sb", `
+// determinismPrograms are the litmus programs of TestParallelDeterminism,
+// also rows of TestEngineMatchesReference.
+var determinismPrograms = []struct {
+	name    string
+	src     string
+	entries []string
+}{
+	{"mp", mpSrc, []string{"reader", "writer"}},
+	{"sb", `
 int x; int y; int r0 = -1; int r1 = -1;
 void t0(void) { x = 1; r0 = y; }
 void t1(void) { y = 1; r1 = x; }
@@ -60,7 +53,7 @@ void main_thread(void) {
   assert(r0 + r1 != 0);
 }
 `, []string{"main_thread"}},
-		{"corr", `
+	{"corr", `
 int x; int a = -1; int b = -1;
 void t0(void) { x = 1; x = 2; }
 void t1(void) { a = x; b = x; }
@@ -69,7 +62,7 @@ void main_thread(void) {
   assert(b >= a);
 }
 `, []string{"main_thread"}},
-		{"seqlock", `
+	{"seqlock", `
 int seq;
 int msg;
 void writer(void) {
@@ -89,9 +82,16 @@ void reader(void) {
   }
 }
 `, []string{"reader", "writer"}},
-	}
+}
+
+// TestParallelDeterminism: across worker counts 1, 2 and 8 every
+// litmus program yields the verdict, violation set and race-report key
+// set of the sequential reference explorer (referenceCheck), in both
+// plain and race-detecting mode, and one worker explores exactly the
+// reference's executions.
+func TestParallelDeterminism(t *testing.T) {
 	models := []memmodel.Model{memmodel.ModelTSO, memmodel.ModelWMM}
-	for _, p := range programs {
+	for _, p := range determinismPrograms {
 		m := compile(t, p.src)
 		for _, model := range models {
 			for _, races := range []bool{false, true} {
@@ -102,13 +102,12 @@ void reader(void) {
 						MaxExecutions: 500_000, TimeBudget: time.Minute,
 						DetectRaces: races,
 					}
-					seqOpts := base
-					seq, err := Check(m, seqOpts)
+					seq, err := referenceCheck(m, base)
 					if err != nil {
-						t.Fatalf("sequential Check: %v", err)
+						t.Fatalf("reference: %v", err)
 					}
 					if seq.Verdict == VerdictUnknown {
-						t.Fatalf("sequential exploration did not finish: %s", seq.Reason)
+						t.Fatalf("reference exploration did not finish: %s", seq.Reason)
 					}
 					want := verdictFingerprint(seq)
 					for _, j := range []int{1, 2, 8} {
@@ -124,10 +123,10 @@ void reader(void) {
 						if got := verdictFingerprint(res); got != want {
 							t.Errorf("-j %d fingerprint drift:\n got %s\nwant %s", j, got, want)
 						}
-						// A single parallel worker never splits, so it
-						// explores exactly the sequential DFS.
+						// A single worker never splits, so it explores
+						// exactly the reference's depth-first search.
 						if j == 1 && res.Executions != seq.Executions {
-							t.Errorf("-j 1 executions = %d, sequential = %d", res.Executions, seq.Executions)
+							t.Errorf("-j 1 executions = %d, reference = %d", res.Executions, seq.Executions)
 						}
 					}
 				})
@@ -211,8 +210,9 @@ func TestResumeTokenReusable(t *testing.T) {
 }
 
 // TestParallelResume: an interrupted parallel run hands back one token
-// per remaining frontier fragment; feeding them all to ResumeAll
-// finishes the exploration with the uninterrupted verdict.
+// per remaining frontier fragment; feeding them all back through
+// Options.Resume finishes the exploration with the uninterrupted
+// verdict.
 func TestParallelResume(t *testing.T) {
 	m := compile(t, mpSrc)
 	entries := []string{"reader", "writer"}
@@ -236,7 +236,7 @@ func TestParallelResume(t *testing.T) {
 	}
 	rounds := 0
 	for res.Verdict == VerdictUnknown {
-		if len(res.ResumeTokens) == 0 {
+		if len(res.Resume) == 0 {
 			t.Fatalf("unknown verdict (%s) without resume tokens", res.Reason)
 		}
 		if rounds++; rounds > 1000 {
@@ -246,7 +246,7 @@ func TestParallelResume(t *testing.T) {
 		res, err = Check(m, Options{
 			Model: memmodel.ModelWMM, Entries: entries,
 			MaxExecutions: prev + 10, TimeBudget: time.Minute, Workers: 2,
-			ResumeAll: res.ResumeTokens,
+			Resume: res.Resume,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -257,11 +257,12 @@ func TestParallelResume(t *testing.T) {
 	}
 }
 
-// TestDecodeResumeV1 keeps the pre-frontier-split token format alive: a
-// hand-built mcr1 token (no floor, no per-choice ceilings) must decode
-// into an equivalent whole-tree token.
+// TestDecodeResumeV1: the pre-frontier-split mcr1 token format (no
+// floor, no per-choice ceilings) is no longer read. A hand-built mcr1
+// token is rejected with the missing-header error, and an mcr2 round
+// trip keeps the floor and the ceilings.
 func TestDecodeResumeV1(t *testing.T) {
-	buf := []byte(resumeMagicV1)
+	buf := []byte("mcr1")
 	buf = binary.AppendUvarint(buf, 3) // executions
 	buf = binary.AppendUvarint(buf, 1) // pruned
 	buf = binary.AppendUvarint(buf, 0) // truncated
@@ -270,25 +271,26 @@ func TestDecodeResumeV1(t *testing.T) {
 		buf = binary.AppendUvarint(buf, uint64(c.options))
 		buf = binary.AppendUvarint(buf, uint64(c.taken))
 	}
-	tok, err := DecodeResume(base64.RawURLEncoding.EncodeToString(buf))
-	if err != nil {
-		t.Fatalf("DecodeResume(v1): %v", err)
+	_, err := DecodeResume(base64.RawURLEncoding.EncodeToString(buf))
+	if err == nil || !strings.Contains(err.Error(), `missing "mcr2" header`) {
+		t.Fatalf("DecodeResume(mcr1) err = %v, want the missing-header rejection", err)
 	}
-	if tok.floor != 0 || tok.executions != 3 || tok.pruned != 1 || len(tok.trace) != 2 {
-		t.Fatalf("v1 token decoded wrong: %+v", tok)
+
+	tok := &ResumeToken{
+		trace:      []choice{{options: 3, taken: 1, ceil: 2}, {options: 2, taken: 0}},
+		floor:      1,
+		executions: 3,
+		pruned:     1,
 	}
-	if got := tok.Frontier(); got != 2 {
-		t.Fatalf("v1 Frontier = %d, want 2", got)
-	}
-	// And the v2 round trip preserves floor and ceilings.
-	tok.floor = 1
-	tok.trace[0].ceil = 2
 	back, err := DecodeResume(tok.Encode())
 	if err != nil {
-		t.Fatalf("DecodeResume(v2): %v", err)
+		t.Fatalf("DecodeResume(mcr2): %v", err)
 	}
-	if back.floor != 1 || back.trace[0].ceil != 2 {
-		t.Fatalf("v2 round trip lost frontier metadata: %+v", back)
+	if back.floor != 1 || back.trace[0].ceil != 2 || back.executions != 3 || back.pruned != 1 {
+		t.Fatalf("mcr2 round trip lost frontier metadata: %+v", back)
+	}
+	if got := back.Frontier(); got != 1 {
+		t.Fatalf("mcr2 Frontier = %d, want 1", got)
 	}
 }
 
@@ -345,9 +347,9 @@ func TestShardMap(t *testing.T) {
 	}
 }
 
-// TestSequentialDispatch: Workers 0 keeps the legacy engine (Workers
-// reported as 1) and a non-empty ResumeAll selects the parallel engine
-// even with Workers unset.
+// TestSequentialDispatch: Workers 0 means one worker of the one engine
+// (Workers reported as 1), whose visited cache takes no locks and whose
+// single VM is recycled for every execution.
 func TestSequentialDispatch(t *testing.T) {
 	m := compile(t, mpSrc)
 	res, err := Check(m, Options{

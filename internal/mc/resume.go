@@ -6,23 +6,25 @@ import (
 	"fmt"
 )
 
-// ResumeToken pins the depth-first exploration frontier of a
-// budget-expired Check so a later Check can continue where it stopped
-// instead of re-exploring from scratch. Tokens are deterministic: the
-// interrupted-and-resumed exploration visits executions in exactly the
-// order the uninterrupted run would have.
+// ResumeToken pins one fragment of the depth-first exploration
+// frontier of a budget-expired Check, so a later Check can continue
+// where it stopped instead of re-exploring from scratch. An interrupted
+// check returns one token per remaining fragment, and a resumed check
+// takes them all. Tokens are deterministic: an interrupted-and-resumed
+// one-worker exploration visits executions in exactly the order the
+// uninterrupted run would have.
 //
-// A token passed within the same process also carries the visited-state
-// cache and the running statistics, so resumed counters continue
-// seamlessly. A token that crossed a process boundary (Encode/Decode)
+// Tokens passed within the same process also carry the visited-state
+// cache and the running statistics (on the first token), so resumed
+// counters continue seamlessly. A token that crossed a process boundary (Encode/Decode)
 // carries only the frontier; the visited cache is rebuilt as
 // exploration proceeds, which can re-explore some states but never
 // changes the verdict.
 type ResumeToken struct {
 	trace []choice
-	// floor is the fragment's immutable prefix length: a token from a
-	// parallel worker pins only the exploration fragment that worker
-	// owned (see dfs.floor); sequential whole-tree tokens have floor 0.
+	// floor is the fragment's immutable prefix length: a token pins only
+	// the exploration fragment one worker owned (see dfs.floor); a
+	// whole-tree token has floor 0.
 	floor      int
 	visited    map[uint64]bool
 	executions int
@@ -50,14 +52,10 @@ func (t *ResumeToken) Frontier() int {
 	return n
 }
 
-// resumeMagic versions the encoded token format: "mcr2" adds the
-// fragment floor and per-choice backtrack ceilings of the parallel
-// frontier split. "mcr1" tokens (no floor, no ceilings) decode
-// unchanged.
-const (
-	resumeMagic   = "mcr2"
-	resumeMagicV1 = "mcr1"
-)
+// resumeMagic versions the encoded token format. "mcr2" carries the
+// fragment floor and per-choice backtrack ceilings of the frontier
+// split; the older "mcr1" format had neither and is rejected.
+const resumeMagic = "mcr2"
 
 // Encode serializes the token's frontier for transport across
 // processes (the atomig-mc -resume flag).
@@ -76,19 +74,13 @@ func (t *ResumeToken) Encode() string {
 	return base64.RawURLEncoding.EncodeToString(buf)
 }
 
-// DecodeResume parses a token produced by Encode (current or mcr1
-// format).
+// DecodeResume parses a token produced by Encode.
 func DecodeResume(s string) (*ResumeToken, error) {
 	raw, err := base64.RawURLEncoding.DecodeString(s)
 	if err != nil {
 		return nil, fmt.Errorf("mc: bad resume token: %w", err)
 	}
-	v2 := false
-	switch {
-	case len(raw) >= len(resumeMagic) && string(raw[:len(resumeMagic)]) == resumeMagic:
-		v2 = true
-	case len(raw) >= len(resumeMagicV1) && string(raw[:len(resumeMagicV1)]) == resumeMagicV1:
-	default:
+	if len(raw) < len(resumeMagic) || string(raw[:len(resumeMagic)]) != resumeMagic {
 		return nil, fmt.Errorf("mc: bad resume token: missing %q header", resumeMagic)
 	}
 	raw = raw[len(resumeMagic):]
@@ -101,11 +93,7 @@ func DecodeResume(s string) (*ResumeToken, error) {
 		return v, nil
 	}
 	t := &ResumeToken{}
-	fields := []*int{&t.executions, &t.pruned, &t.truncated}
-	if v2 {
-		fields = append(fields, &t.floor)
-	}
-	for _, f := range fields {
+	for _, f := range []*int{&t.executions, &t.pruned, &t.truncated, &t.floor} {
 		v, err := next()
 		if err != nil {
 			return nil, err
@@ -133,11 +121,9 @@ func DecodeResume(s string) (*ResumeToken, error) {
 		if err != nil {
 			return nil, err
 		}
-		var ceil uint64
-		if v2 {
-			if ceil, err = next(); err != nil {
-				return nil, err
-			}
+		ceil, err := next()
+		if err != nil {
+			return nil, err
 		}
 		if options == 0 || taken >= options {
 			return nil, fmt.Errorf("mc: bad resume token: choice %d/%d out of range", taken, options)

@@ -7,25 +7,6 @@ import (
 	"repro/internal/obs"
 )
 
-// stateCache is the visited-state set runOne prunes against: the
-// sequential engine uses a plain map, the parallel engine the sharded
-// cache below.
-type stateCache interface {
-	// insert records h, reporting whether it was new.
-	insert(h uint64) bool
-}
-
-// mapCache is the single-owner visited set of the sequential engine.
-type mapCache map[uint64]bool
-
-func (m mapCache) insert(h uint64) bool {
-	if m[h] {
-		return false
-	}
-	m[h] = true
-	return true
-}
-
 // shardsPerWorker oversizes the shard count relative to the worker
 // count so two workers probing simultaneously rarely pick the same
 // shard: with 8 shards per worker a uniform probe collides with
@@ -34,15 +15,15 @@ func (m mapCache) insert(h uint64) bool {
 // selection are uniform.
 const shardsPerWorker = 8
 
-// shardMap is the lock-striped visited-state cache shared by the
-// parallel engine's workers. The shard index comes from the hash's
+// shardMap is the lock-striped visited-state cache runOne prunes
+// against, shared by the engine's workers. The shard index comes from the hash's
 // high bits (the map key inside a shard still uses the full hash), and
 // the shard count is a power of two so selection is a shift.
 type shardMap struct {
 	shards []shard
 	shift  uint
 	// nolock skips the mutexes entirely when a single worker owns the
-	// cache (-j 1 pays no synchronization for the parallel engine).
+	// cache (-j 1 pays no synchronization).
 	nolock bool
 	// contended counts lock acquisitions that found the shard already
 	// held (TryLock failed) — the contention signal atomig-mc -stats

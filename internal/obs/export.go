@@ -37,10 +37,9 @@ func WriteMetricsFile(path string, snap Snapshot) error {
 }
 
 // ValidateMetrics checks that data is a well-formed metrics snapshot:
-// the schema version is a known one (current v2 or the archived v1),
-// every metric name follows the naming convention, each histogram's
-// buckets are sorted with counts that sum to its count, and quantiles
-// (v2 only) are ordered p50 ≤ p95 ≤ p99.
+// the schema version is the current one, every metric name follows the
+// naming convention, each histogram's buckets are sorted with counts
+// that sum to its count, and quantiles are ordered p50 ≤ p95 ≤ p99.
 func ValidateMetrics(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -48,8 +47,8 @@ func ValidateMetrics(data []byte) error {
 	if err := dec.Decode(&snap); err != nil {
 		return fmt.Errorf("metrics: not a snapshot: %w", err)
 	}
-	if snap.Schema != SchemaVersion && snap.Schema != SchemaV1 {
-		return fmt.Errorf("metrics: schema %q, want %q or %q", snap.Schema, SchemaVersion, SchemaV1)
+	if snap.Schema != SchemaVersion {
+		return fmt.Errorf("metrics: schema %q, want %q", snap.Schema, SchemaVersion)
 	}
 	for name := range snap.Counters {
 		if !ValidName(name) {
@@ -77,9 +76,6 @@ func ValidateMetrics(data []byte) error {
 		}
 		if total != h.Count {
 			return fmt.Errorf("metrics: histogram %q buckets sum to %d, count says %d", name, total, h.Count)
-		}
-		if snap.Schema == SchemaV1 && (h.P50 != 0 || h.P95 != 0 || h.P99 != 0) {
-			return fmt.Errorf("metrics: histogram %q carries quantiles under schema %q", name, SchemaV1)
 		}
 		if h.P50 > h.P95 || h.P95 > h.P99 {
 			return fmt.Errorf("metrics: histogram %q quantiles out of order: p50=%d p95=%d p99=%d", name, h.P50, h.P95, h.P99)

@@ -298,25 +298,26 @@ func TestMetricsV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestMetricsV1Fixture: archived v1 snapshots (no quantiles) must keep
-// validating — the schema bump is backward compatible for readers.
+// TestMetricsV1Fixture: the v1 schema (histograms without quantiles)
+// is retired, so a v1 snapshot is rejected by its schema; the v2
+// fixture validates, and out-of-order quantiles are rejected.
 func TestMetricsV1Fixture(t *testing.T) {
-	data, err := os.ReadFile("testdata/metrics_v1.json")
+	v1 := `{"schema":"atomig.metrics/v1","counters":{"mc.executions_explored":1742},"gauges":{},"histograms":{}}`
+	if err := ValidateMetrics([]byte(v1)); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Errorf("v1 snapshot: err = %v, want a schema rejection", err)
+	}
+	data, err := os.ReadFile("testdata/metrics_v2.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateMetrics(data); err != nil {
-		t.Errorf("v1 fixture rejected: %v", err)
+		t.Errorf("v2 fixture rejected: %v", err)
 	}
-	// But a v1 snapshot claiming quantiles is a lie: reject it.
-	bad := bytes.Replace(data, []byte(`"count": 3,`), []byte(`"count": 3, "p50": 3,`), 1)
+	bad := bytes.Replace(data, []byte(`"p50": 3,`), []byte(`"p50": 9,`), 1)
+	if bytes.Equal(bad, data) {
+		t.Fatal("fixture has no p50 to disorder")
+	}
 	if err := ValidateMetrics(bad); err == nil {
-		t.Error("v1 snapshot with quantiles accepted")
-	}
-	// And unknown quantile ordering is rejected under v2.
-	v2 := bytes.Replace(data, []byte("atomig.metrics/v1"), []byte(SchemaVersion), 1)
-	v2 = bytes.Replace(v2, []byte(`"count": 3,`), []byte(`"count": 3, "p50": 9, "p95": 3,`), 1)
-	if err := ValidateMetrics(v2); err == nil {
 		t.Error("out-of-order quantiles accepted")
 	}
 }

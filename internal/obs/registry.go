@@ -11,15 +11,10 @@ import (
 )
 
 // SchemaVersion identifies the metrics snapshot JSON schema. Bump it
-// when the snapshot shape changes; validators accept the current and
-// the previous version. v2 added approximate p50/p95/p99 quantiles to
-// histogram snapshots.
+// when the snapshot shape changes; validators accept only the current
+// version. v2 added approximate p50/p95/p99 quantiles to histogram
+// snapshots.
 const SchemaVersion = "atomig.metrics/v2"
-
-// SchemaV1 is the previous snapshot schema: identical except histogram
-// snapshots carry no quantile fields. ValidateMetrics still accepts it
-// so archived -metrics files keep validating.
-const SchemaV1 = "atomig.metrics/v1"
 
 // nameRE is the metric naming convention: `subsystem.noun_verbed` —
 // a lowercase subsystem, a dot, then lowercase words joined by

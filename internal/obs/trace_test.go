@@ -101,10 +101,10 @@ func TestValidateMetricsRejections(t *testing.T) {
 		name, body, want string
 	}{
 		{"wrong schema", `{"schema":"atomig.metrics/v0","counters":{},"gauges":{},"histograms":{}}`, "schema"},
-		{"bad name", `{"schema":"atomig.metrics/v1","counters":{"NotValid":1},"gauges":{},"histograms":{}}`, "naming convention"},
-		{"bucket mismatch", `{"schema":"atomig.metrics/v1","counters":{},"gauges":{},"histograms":{"mc.fragment_executions":{"count":2,"sum":5,"buckets":[{"le":7,"n":1}]}}}`, "sum to"},
-		{"unsorted buckets", `{"schema":"atomig.metrics/v1","counters":{},"gauges":{},"histograms":{"mc.fragment_executions":{"count":2,"sum":5,"buckets":[{"le":7,"n":1},{"le":3,"n":1}]}}}`, "not sorted"},
-		{"unknown field", `{"schema":"atomig.metrics/v1","counters":{},"gauges":{},"histograms":{},"extra":1}`, "unknown field"},
+		{"bad name", `{"schema":"atomig.metrics/v2","counters":{"NotValid":1},"gauges":{},"histograms":{}}`, "naming convention"},
+		{"bucket mismatch", `{"schema":"atomig.metrics/v2","counters":{},"gauges":{},"histograms":{"mc.fragment_executions":{"count":2,"sum":5,"buckets":[{"le":7,"n":1}]}}}`, "sum to"},
+		{"unsorted buckets", `{"schema":"atomig.metrics/v2","counters":{},"gauges":{},"histograms":{"mc.fragment_executions":{"count":2,"sum":5,"buckets":[{"le":7,"n":1},{"le":3,"n":1}]}}}`, "not sorted"},
+		{"unknown field", `{"schema":"atomig.metrics/v2","counters":{},"gauges":{},"histograms":{},"extra":1}`, "unknown field"},
 		{"not json", `weights=heavy`, "not a snapshot"},
 	}
 	for _, tc := range cases {

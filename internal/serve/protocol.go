@@ -156,23 +156,23 @@ type StressInfo struct {
 // Stats is the health/stats payload: a consistent snapshot of the
 // serve.* counters plus session inventory.
 type Stats struct {
-	Healthy        bool     `json:"healthy"`
+	Healthy bool `json:"healthy"`
 	// Status is the /healthz verdict: ok, degraded, or draining.
-	Status         string   `json:"status,omitempty"`
-	Draining       bool     `json:"draining"`
-	InFlight       int64    `json:"in_flight"`
-	QueueDepth     int      `json:"queue_depth"`
-	Requests       int64    `json:"requests"`
-	Failed         int64    `json:"failed"`
-	Overloaded     int64    `json:"overloaded"`
-	Canceled       int64    `json:"canceled"`
-	Deadlined      int64    `json:"deadlined"`
-	PanicsContained int64   `json:"panics_contained"`
-	WatchdogFired  int64    `json:"watchdog_fired"`
-	CacheHits      int64    `json:"cache_hits"`
-	CacheMisses    int64    `json:"cache_misses"`
-	CacheEntries   int      `json:"cache_entries"`
-	Sessions       []string `json:"sessions,omitempty"`
+	Status          string   `json:"status,omitempty"`
+	Draining        bool     `json:"draining"`
+	InFlight        int64    `json:"in_flight"`
+	QueueDepth      int      `json:"queue_depth"`
+	Requests        int64    `json:"requests"`
+	Failed          int64    `json:"failed"`
+	Overloaded      int64    `json:"overloaded"`
+	Canceled        int64    `json:"canceled"`
+	Deadlined       int64    `json:"deadlined"`
+	PanicsContained int64    `json:"panics_contained"`
+	WatchdogFired   int64    `json:"watchdog_fired"`
+	CacheHits       int64    `json:"cache_hits"`
+	CacheMisses     int64    `json:"cache_misses"`
+	CacheEntries    int      `json:"cache_entries"`
+	Sessions        []string `json:"sessions,omitempty"`
 }
 
 // errResp builds a failure response.

@@ -2,13 +2,17 @@ package weaken
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/appgen"
 	"repro/internal/atomig"
 	"repro/internal/corpus"
 	"repro/internal/ir"
+	"repro/internal/mc"
+	"repro/internal/memmodel"
 	"repro/internal/minic"
 	"repro/internal/race"
 )
@@ -17,13 +21,16 @@ import (
 // differential reference: screen every candidate, then commit the
 // survivors one at a time in site order, re-verifying cumulatively
 // after each. The first alternative of a site that commits wins its
-// rung; a site none of whose alternatives committed is frozen.
-func referenceRound(w *weakener, workers int) (bool, error) {
+// rung; a site none of whose alternatives committed is frozen. Every
+// check explores in full (referenceCheck), so the reference never
+// relies on the early-stop rule of checkOptions. It screens on one
+// goroutine whatever the worker count.
+func referenceRound(w *weakener, _ int) (bool, error) {
 	cands := w.candidates()
 	if len(cands) == 0 {
 		return false, nil
 	}
-	pass, err := w.screen(cands, workers)
+	pass, err := referenceScreen(w, cands)
 	if err != nil {
 		return false, err
 	}
@@ -68,22 +75,72 @@ func referenceCommit(w *weakener, c candidate) (bool, error) {
 			s.in.Ord = a.prev
 		}
 	}
-	res, el, stressed, err := w.verify(w.m, roleMerge)
+	res, err := referenceCheck(w, w.m)
 	if err != nil {
 		revert()
 		return false, err
 	}
-	if stressed {
-		w.noteStress(res.Executions, el)
-	} else {
-		w.note(res.Executions, el)
-	}
-	if !w.acceptFor(res, stressed) {
+	if !w.accepted(res) {
 		revert()
 		return false, nil
 	}
 	w.record(a)
 	return true, nil
+}
+
+// referenceScreen verifies every candidate, in candidate order, against
+// a private clone of the live module with one candidate applied.
+func referenceScreen(w *weakener, cands []candidate) ([]bool, error) {
+	pass := make([]bool, len(cands))
+	for i, c := range cands {
+		if err := w.ctxErr(); err != nil {
+			return nil, err
+		}
+		s := &w.sites[c.siteIdx]
+		pos := s.pos(w.m)
+		if pos < 0 {
+			return nil, fmt.Errorf("weaken: site %s vanished from its block", race.SiteString(s.in))
+		}
+		clone, err := ir.CloneModule(w.m)
+		if err != nil {
+			return nil, err
+		}
+		blk := clone.Funcs[s.fi].Blocks[s.bi]
+		if c.del {
+			deleteInstr(blk, pos)
+		} else {
+			blk.Instrs[pos].Ord = c.ord
+		}
+		res, err := referenceCheck(w, clone)
+		if err != nil {
+			return nil, err
+		}
+		if pass[i] = w.accepted(res); !pass[i] {
+			w.tally(false)
+		}
+	}
+	return pass, nil
+}
+
+// referenceCheck is the reference's own checker call: the run's
+// harness and budgets with full exploration (no StopAtFirst), accounted
+// like every exhaustive check.
+func referenceCheck(w *weakener, m *ir.Module) (*mc.Result, error) {
+	t0 := time.Now()
+	res, err := mc.Check(m, mc.Options{
+		Model:           w.opts.Model,
+		Entries:         w.opts.Entries,
+		MaxExecutions:   w.opts.MaxExecs,
+		MaxStepsPerExec: w.opts.MaxStepsPerExec,
+		TimeBudget:      w.opts.TimeBudget,
+		Context:         w.opts.Context,
+		DetectRaces:     w.opts.DetectRaces,
+	})
+	if err != nil {
+		return nil, err
+	}
+	w.note(res.Executions, time.Since(t0))
+	return res, nil
 }
 
 // diffTarget is one program of the differential test.
@@ -159,7 +216,9 @@ func (d diffTarget) ported(t *testing.T) (*ir.Module, []string) {
 // every target the reference runs once at 1 worker, and at 1 and at 4
 // workers the group-tested run has the same weakened module, decision
 // log, verdict, refusal reason and final cost, while spending no more
-// checker calls.
+// checker calls. The reference explores every check in full, so the
+// test also shows that the early-stop rule of candidate checks changes
+// no decision.
 func TestGroupMergeMatchesReference(t *testing.T) {
 	for _, tgt := range diffTargets() {
 		tgt := tgt
@@ -206,7 +265,7 @@ func TestGroupMergeMatchesReference(t *testing.T) {
 					t.Errorf("-j %d: tried %d, accepted %d, rejected %d with %d decisions", workers,
 						got.Tried, got.Accepted, got.Rejected, len(got.Decisions))
 				}
-				t.Logf("-j %d: cost %d -> %d, checks %d (reference %d), executions %d (reference %d)", workers,
+				t.Logf("-j %d: cost %d -> %d, checks %d (reference %d), executions %d (reference %d, full exploration)", workers,
 					got.CostBefore, got.CostAfter, got.MCChecks, want.MCChecks, got.MCExecutions, want.MCExecutions)
 			}
 		})
@@ -220,4 +279,42 @@ func decisions(res *Result) string {
 		fmt.Fprintf(&b, "%s [%s %s]\n", d, d.Fn, d.Loc)
 	}
 	return b.String()
+}
+
+// TestCheckOptionsStopRule pins the early-stop rule of checkOptions:
+// the baseline check and every candidate check of a racy baseline
+// explore in full, and only candidate checks (screen and merge) of a
+// verified baseline stop at the first violation or race. Every other
+// option comes from the run's Options in every role.
+func TestCheckOptionsStopRule(t *testing.T) {
+	opts := DefaultOptions([]string{"reader", "writer"})
+	opts.MaxExecs, opts.MaxStepsPerExec, opts.TimeBudget = 1234, 567, time.Minute
+	w := &weakener{opts: opts}
+	want := mc.Options{
+		Model: memmodel.ModelWMM, Entries: opts.Entries, DetectRaces: true,
+		MaxExecutions: 1234, MaxStepsPerExec: 567, TimeBudget: time.Minute,
+	}
+	cases := []struct {
+		name string
+		base *mc.Result // nil: the baseline check itself runs before any verdict
+		role checkRole
+		stop bool
+	}{
+		{"baseline role", nil, roleBaseline, false},
+		{"verified baseline, screen", &mc.Result{Verdict: mc.VerdictPass}, roleScreen, true},
+		{"verified baseline, merge", &mc.Result{Verdict: mc.VerdictPass}, roleMerge, true},
+		{"racy baseline, screen", &mc.Result{Verdict: mc.VerdictRace}, roleScreen, false},
+		{"racy baseline, merge", &mc.Result{Verdict: mc.VerdictRace}, roleMerge, false},
+	}
+	for _, tc := range cases {
+		w.base = tc.base
+		got := w.checkOptions(tc.role)
+		if got.StopAtFirst != tc.stop {
+			t.Errorf("%s: StopAtFirst = %t, want %t", tc.name, got.StopAtFirst, tc.stop)
+		}
+		got.StopAtFirst = false
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: options %+v, want %+v", tc.name, got, want)
+		}
+	}
 }

@@ -115,7 +115,7 @@ func (w *weakener) verify(m *ir.Module, role checkRole) (res *mc.Result, el time
 		res, el, err = w.stressCheck(m, seeds, workers)
 		return res, el, true, err
 	}
-	res, el, err = w.check(m)
+	res, el, err = w.check(m, role)
 	return res, el, false, err
 }
 

@@ -946,14 +946,33 @@ func (w *weakener) tally(ok bool) {
 	}
 }
 
-// check runs one bounded re-verification and returns its wall clock
-// alongside the result. The sequential engine keeps each check
-// deterministic; parallelism lives at the candidate level. It mutates
-// nothing on the weakener beyond the (atomic) latency histogram —
-// callers account the work via note, sequentially.
-func (w *weakener) check(m *ir.Module) (*mc.Result, time.Duration, error) {
+// check runs one bounded re-verification in the given role and returns
+// its wall clock alongside the result. Each check runs the checker at
+// one worker, which keeps it deterministic; parallelism lives at the
+// candidate level. It mutates nothing on the weakener beyond the
+// (atomic) latency histogram — callers account the work via note,
+// sequentially.
+func (w *weakener) check(m *ir.Module, role checkRole) (*mc.Result, time.Duration, error) {
 	t0 := time.Now()
-	res, err := mc.Check(m, mc.Options{
+	res, err := mc.Check(m, w.checkOptions(role))
+	if err != nil {
+		return nil, 0, err
+	}
+	el := time.Since(t0)
+	w.c.verifyMicros.Observe(el.Microseconds())
+	return res, el, nil
+}
+
+// checkOptions returns the checker options of one re-verification in
+// the given role, with the run's early-stop rule: against a verified
+// baseline, any violation, race or unknown verdict rejects a candidate,
+// so a candidate check (screen or merge) stops at the first violation
+// or race — the decision full exploration would reach, without the
+// rest of the state space. The baseline check always explores in full,
+// and so does every candidate check of a racy baseline: its race-key
+// comparison needs every race the candidate can reach.
+func (w *weakener) checkOptions(role checkRole) mc.Options {
+	return mc.Options{
 		Model:           w.opts.Model,
 		Entries:         w.opts.Entries,
 		MaxExecutions:   w.opts.MaxExecs,
@@ -961,13 +980,8 @@ func (w *weakener) check(m *ir.Module) (*mc.Result, time.Duration, error) {
 		TimeBudget:      w.opts.TimeBudget,
 		Context:         w.opts.Context,
 		DetectRaces:     w.opts.DetectRaces,
-	})
-	if err != nil {
-		return nil, 0, err
+		StopAtFirst:     role != roleBaseline && w.base.Verdict == mc.VerdictPass,
 	}
-	el := time.Since(t0)
-	w.c.verifyMicros.Observe(el.Microseconds())
-	return res, el, nil
 }
 
 // note accounts one completed check's work into the report. Sequential
