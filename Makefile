@@ -6,7 +6,7 @@ GO      ?= go
 GOFMT   ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke clean
+.PHONY: all build vet fmt-check fanout-check test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke clean
 
 # Module size for the pipeline byte-identical-output smoke. Big enough
 # to exercise the parallel fan-out, small enough for `make check`.
@@ -40,6 +40,18 @@ fmt-check:
 	@files=$$(git ls-files '*.go' | xargs $(GOFMT) -l); \
 	if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
+# Fan-out gate: fails, naming the lines, when a tracked non-test .go
+# file starts a goroutine outside the places allowed to: fanout.Each
+# (the one index-parallel loop), the model checker's work-stealing
+# frontier, the daemon, the live HTTP exporter and the CLI's listener.
+# perfbench/ is a module of its own (the benchmark harness) and is not
+# checked.
+FANOUT_ALLOWED = ':!:internal/fanout/' ':!:internal/mc/parallel.go' ':!:internal/serve/' ':!:internal/obs/http.go' ':!:cmd/atomig/main.go'
+fanout-check:
+	@lines=$$(git ls-files '*.go' ':!:*_test.go' ':!:perfbench/' $(FANOUT_ALLOWED) | \
+		xargs grep -nE '^[[:space:]]*go[[:space:]]+(func[[:space:](]|[A-Za-z_][A-Za-z0-9_.]*[[:space:]]*\()'); \
+	if [ -n "$$lines" ]; then echo "goroutines outside fanout.Each (use fanout.Each):"; echo "$$lines"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -48,7 +60,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check test test-race bench-mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
+check: build vet fmt-check fanout-check test test-race bench-mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
 
 # Model-checker scaling sweep (docs/MODEL-CHECKER.md): exhaustive
 # exploration of the litmus+seqlock corpus at 1..8 workers, appending

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/diag"
 	"repro/internal/ir"
 	"repro/internal/leakcheck"
 )
@@ -38,12 +39,12 @@ func TestBuildMapPanicPropagatesToCaller(t *testing.T) {
 		if r == nil {
 			t.Fatal("panic did not propagate to the caller")
 		}
-		pp, ok := r.(*poolPanic)
+		pp, ok := r.(*diag.InternalError)
 		if !ok {
-			t.Fatalf("recovered %T, want *poolPanic", r)
+			t.Fatalf("recovered %T, want *diag.InternalError", r)
 		}
-		if !strings.Contains(pp.String(), "injected index failure") {
-			t.Errorf("pool panic lost the original value: %s", pp.String())
+		if !strings.Contains(pp.Error(), "injected index failure") {
+			t.Errorf("pool panic lost the original value: %s", pp.Error())
 		}
 	}()
 	BuildMapFromAccesses(m, 4, func(fi int, f *ir.Func) []Access {

@@ -1,26 +1,24 @@
 // Sharded concurrent construction of the module-wide alias map. The
 // map is built once per port (paper section 3.5) and, for the
 // million-line modules of Table 3, that build is on the pipeline's
-// critical path — so it fans out across a worker pool: workers claim
-// functions from an atomic cursor, push each memory access into a
-// lock-striped shard keyed by its location descriptor, and feed every
-// alternate descriptor of the address (alias.Reprs) into the
-// lock-striped union-find. A final freeze step groups the per-location
-// access lists into canonical equivalence classes and sorts each class
-// by (function index, instruction position), so lookups and
-// exploration return identical, deterministically ordered results for
-// every worker count (docs/PIPELINE.md).
+// critical path — so it fans out per function through fanout.Each:
+// workers push each memory access into a lock-striped shard keyed by
+// its location descriptor, and feed every alternate descriptor of the
+// address (alias.Reprs) into the lock-striped union-find. A final
+// freeze step groups the per-location access lists into canonical
+// equivalence classes and sorts each class by (function index,
+// instruction position), so lookups and exploration return identical,
+// deterministically ordered results for every worker count
+// (docs/PIPELINE.md).
 package alias
 
 import (
-	"fmt"
 	"math/bits"
-	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/fanout"
 	"repro/internal/ir"
 )
 
@@ -109,7 +107,8 @@ func PrepareFunc(f *ir.Func) []Access {
 // contributions supplied by get (fi is the function's index in
 // m.Funcs). A nil get scans each function in place (PrepareFunc). The
 // resulting map is identical for every worker count and identical to a
-// direct BuildMapParallel of the same module.
+// direct BuildMapParallel of the same module. A panic in get comes back
+// on the calling goroutine as a *diag.InternalError (fanout.Each).
 func BuildMapFromAccesses(m *ir.Module, workers int, get func(fi int, f *ir.Func) []Access) *Map {
 	if workers < 1 {
 		workers = 1
@@ -134,7 +133,9 @@ func BuildMapFromAccesses(m *ir.Module, workers int, get func(fi int, f *ir.Func
 	for i := range am.instrLocs {
 		am.instrLocs[i].m = make(map[*ir.Instr]Loc)
 	}
-	forEachFuncIndexed(workers, m.Funcs, func(fi int, f *ir.Func) {
+	// The callback never fails, so Each has no error to report.
+	_ = fanout.Each(workers, len(m.Funcs), func(_, fi int) error {
+		f := m.Funcs[fi]
 		var accs []Access
 		if get != nil {
 			accs = get(fi, f)
@@ -142,64 +143,10 @@ func BuildMapFromAccesses(m *ir.Module, workers int, get func(fi int, f *ir.Func
 			accs = PrepareFunc(f)
 		}
 		am.indexAccesses(fi, accs)
+		return nil
 	})
 	am.freeze()
 	return am
-}
-
-// forEachFuncIndexed fans fn out over the functions: workers claim
-// indices from a shared cursor so a few huge functions do not stall
-// the pool. A panic in fn is captured on the worker, the pool drains,
-// and the first panic is re-raised on the calling goroutine — never on
-// a pool goroutine, where it would be unrecoverable for the caller.
-func forEachFuncIndexed(workers int, fns []*ir.Func, fn func(fi int, f *ir.Func)) {
-	if workers <= 1 || len(fns) <= 1 {
-		for i, f := range fns {
-			fn(i, f)
-		}
-		return
-	}
-	var cursor atomicCursor
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	var first atomic.Pointer[poolPanic]
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					failed.Store(true)
-					first.CompareAndSwap(nil, &poolPanic{val: r, stack: debug.Stack()})
-				}
-			}()
-			for {
-				if failed.Load() {
-					return
-				}
-				i := cursor.next()
-				if i >= len(fns) {
-					return
-				}
-				fn(i, fns[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if p := first.Load(); p != nil {
-		panic(p)
-	}
-}
-
-// poolPanic carries a worker panic (with the worker's stack) to the
-// goroutine that owns the pool.
-type poolPanic struct {
-	val   any
-	stack []byte
-}
-
-func (p *poolPanic) String() string {
-	return fmt.Sprintf("worker panic: %v\n%s", p.val, p.stack)
 }
 
 // indexAccesses records one function's prepared contributions.
@@ -247,11 +194,6 @@ func hashPtr(in *ir.Instr) uint64 {
 	h ^= h >> 33
 	return h
 }
-
-// atomicCursor hands out work-list indices to the pool.
-type atomicCursor struct{ n atomic.Int64 }
-
-func (c *atomicCursor) next() int { return int(c.n.Add(1)) - 1 }
 
 // freeze groups every location's accesses into its canonical class and
 // sorts each class by module position. Runs once, after all workers

@@ -15,6 +15,7 @@ import (
 	"repro/internal/alias"
 	"repro/internal/analysis"
 	"repro/internal/diag"
+	"repro/internal/fanout"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/opt"
@@ -224,9 +225,9 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 		rep.FunctionsInlined = analysis.Inline(m, opts.InlineOptions)
 	}
 
-	// Phases 1+2, detection (paper sections 3.2–3.3): workers claim
-	// functions from a shared cursor and fill a per-function result slot.
-	// Each worker mutates only the function it holds (the explicit
+	// Phases 1+2, detection (paper sections 3.2–3.3): fanout.Each hands
+	// out the functions, and each call fills its per-function result
+	// slot. Each worker mutates only the function it holds (the explicit
 	// upgrades); everything cross-function — marking, counting, seed
 	// collection — happens in the in-order merge below, so the results
 	// are identical for every worker count. A DetectCache replays the
@@ -247,7 +248,11 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	det := make([]funcDetect, len(m.Funcs))
 	accs := make([][]alias.Access, len(m.Funcs))
 	var hits, misses atomic.Int64
-	forEachFunc(opts.Context, workers, m.Funcs, func(fi int, f *ir.Func) {
+	err = fanout.Each(workers, len(m.Funcs), func(_, fi int) error {
+		if err := opts.ctxErr(); err != nil {
+			return err
+		}
+		f := m.Funcs[fi]
 		key := ""
 		if opts.Detect != nil {
 			if hashes != nil && hashes[fi] != "" {
@@ -265,8 +270,9 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 				misses.Add(1)
 			}
 		}
+		return nil
 	})
-	if err := opts.ctxErr(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	rep.CacheHits, rep.CacheMisses = int(hits.Load()), int(misses.Load())
@@ -379,10 +385,15 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 			byFn[info.Fn] = append(byFn[info.Fn], optLoopCtl{loop: info.Loop, ctl: ctl})
 		}
 		fenceCount := make([]int, len(m.Funcs))
-		forEachFunc(opts.Context, workers, m.Funcs, func(fi int, f *ir.Func) {
+		err = fanout.Each(workers, len(m.Funcs), func(_, fi int) error {
+			if err := opts.ctxErr(); err != nil {
+				return err
+			}
+			f := m.Funcs[fi]
 			fenceCount[fi] = insertOptFences(f, byFn[f], canonOpt, am)
+			return nil
 		})
-		if err := opts.ctxErr(); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		for _, n := range fenceCount {

@@ -204,24 +204,37 @@ type panicCache struct{}
 func (panicCache) Get(string) (*FuncSummary, bool) { panic("injected cache failure") }
 func (panicCache) Put(string, *FuncSummary)        {}
 
-// TestPortWorkerPanicContained: a panic on a pool goroutine must drain
-// the pool, re-raise on the coordinator, and surface as a structured
-// diag.InternalError from Port — not kill the process or leak workers.
+// TestPortWorkerPanicContained: a panic on a worker must drain the
+// fan-out, re-raise on the coordinator, and surface as a structured
+// diag.InternalError from Port — not kill the process or leak workers —
+// whose Error() is the same one line at every worker count.
 func TestPortWorkerPanicContained(t *testing.T) {
 	leakcheck.Check(t)
 	base, _ := compileLarge(t, appgen.LargeSpec("panic-4k", 4000, 13))
-	opts := DefaultOptions()
-	opts.Workers = 4
-	opts.Detect = panicCache{}
-	_, _, err := PortClone(base, opts)
-	if err == nil {
-		t.Fatal("panicking port returned nil error")
-	}
-	ie, ok := diag.AsInternal(err)
-	if !ok {
-		t.Fatalf("want diag.InternalError, got %T: %v", err, err)
-	}
-	if !strings.Contains(ie.Diagnostics(), "injected cache failure") {
-		t.Errorf("diagnostics lost the panic value: %s", ie.Error())
+	var first string
+	for _, workers := range []int{1, 4} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		opts.Detect = panicCache{}
+		_, _, err := PortClone(base, opts)
+		if err == nil {
+			t.Fatalf("-j %d: panicking port returned nil error", workers)
+		}
+		ie, ok := diag.AsInternal(err)
+		if !ok {
+			t.Fatalf("-j %d: want diag.InternalError, got %T: %v", workers, err, err)
+		}
+		if !strings.Contains(ie.Diagnostics(), "injected cache failure") {
+			t.Errorf("-j %d: diagnostics lost the panic value: %s", workers, ie.Error())
+		}
+		msg := ie.Error()
+		if strings.Contains(msg, "\n") {
+			t.Errorf("-j %d: Error() spans %d lines, want one:\n%s", workers, strings.Count(msg, "\n")+1, msg)
+		}
+		if first == "" {
+			first = msg
+		} else if msg != first {
+			t.Errorf("-j %d: Error() = %q, differs from -j 1's %q", workers, msg, first)
+		}
 	}
 }

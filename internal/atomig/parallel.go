@@ -1,17 +1,12 @@
-// Pipeline fan-out. The parallel phases all follow one shape: workers
-// claim functions from an atomic cursor, write into a per-function
-// result slot, and a sequential merge consumes the slots in function
-// order — so the ported module and the report are byte-identical for
-// every Options.Workers value (docs/PIPELINE.md).
+// Per-function work of the pipeline's fan-out phases. Port runs each
+// phase through fanout.Each: a worker handles one function at a time
+// and writes only that function's result slot, and a sequential merge
+// consumes the slots in function order — so the ported module and the
+// report are byte-identical for every Options.Workers value
+// (docs/PIPELINE.md).
 package atomig
 
 import (
-	"context"
-	"fmt"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/alias"
 	"repro/internal/analysis"
 	"repro/internal/ir"
@@ -25,73 +20,6 @@ type funcDetect struct {
 	polling []*analysis.SpinloopInfo
 	barrier []*ir.Instr
 	atomics []*ir.Instr
-}
-
-// workerPanic carries a panic out of a pool goroutine to the goroutine
-// that owns the pool, preserving the worker's stack. The coordinator
-// re-panics with it so the caller's diag guard turns it into a
-// structured error on the right goroutine — an uncontained panic on a
-// pool goroutine would kill the whole process (fatal for the daemon).
-type workerPanic struct {
-	val   any
-	stack []byte
-}
-
-func (p *workerPanic) String() string {
-	return fmt.Sprintf("worker panic: %v\n%s", p.val, p.stack)
-}
-
-// forEachFunc fans fn out over the module's functions. Workers claim
-// indices from a shared cursor so a few huge functions do not stall the
-// pool; fn must touch only the function it was handed. A non-nil ctx
-// makes workers stop claiming once it is canceled (the caller checks
-// ctx.Err() after the pool drains). Every worker goroutine exits before
-// forEachFunc returns — on completion, cancellation, and panic alike —
-// and the first panic is re-raised on the calling goroutine.
-func forEachFunc(ctx context.Context, workers int, fns []*ir.Func, fn func(fi int, f *ir.Func)) {
-	canceled := func() bool { return ctx != nil && ctx.Err() != nil }
-	if workers > len(fns) {
-		workers = len(fns)
-	}
-	if workers <= 1 {
-		for i, f := range fns {
-			if canceled() {
-				return
-			}
-			fn(i, f)
-		}
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	var first atomic.Pointer[workerPanic]
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					failed.Store(true)
-					first.CompareAndSwap(nil, &workerPanic{val: r, stack: debug.Stack()})
-				}
-			}()
-			for {
-				if failed.Load() || canceled() {
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= len(fns) {
-					return
-				}
-				fn(i, fns[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if p := first.Load(); p != nil {
-		panic(p)
-	}
 }
 
 // optLoopCtl pairs an optimistic loop with the canonical descriptors of

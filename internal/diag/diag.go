@@ -51,9 +51,16 @@ func (e *InternalError) Diagnostics() string {
 //
 // A panic below the deferred call is converted into an *InternalError
 // assigned to *err; a normal return (including an error return) passes
-// through untouched.
+// through untouched. A panic whose value already is an *InternalError —
+// a worker panic fanout.Each brought home — is reported under stage
+// with its original value and stack, so the error reads the same
+// whether the panic happened on the caller's goroutine or a worker's.
 func Guard(stage string, err *error) {
 	if r := recover(); r != nil {
+		if ie, ok := r.(*InternalError); ok {
+			*err = &InternalError{Stage: stage, Value: ie.Value, Stack: ie.Stack}
+			return
+		}
 		*err = &InternalError{Stage: stage, Value: r, Stack: string(debug.Stack())}
 	}
 }

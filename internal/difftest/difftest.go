@@ -15,14 +15,12 @@ package difftest
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/atomig"
 	"repro/internal/diag"
+	"repro/internal/fanout"
 	"repro/internal/ir"
 	"repro/internal/memmodel"
 	"repro/internal/minic"
@@ -56,10 +54,11 @@ type Options struct {
 	// the final states happen to agree.
 	DetectRaces bool
 	// Workers fans the seeded executions (SC reference runs, per-mode
-	// weak-memory runs, race sweeps) out across that many goroutines.
-	// Every (mode, seed) cell is independent, and on failure the error
-	// of the earliest cell in grid order is reported, so the outcome is
-	// identical for every worker count. 0 or 1 runs sequentially.
+	// weak-memory runs, race sweeps) out across that many goroutines
+	// through fanout.Each and stress.Sweep. Every (mode, seed) cell is
+	// independent, and on failure the error of the earliest cell in grid
+	// order is reported, so the outcome is identical for every worker
+	// count. 0 or 1 runs sequentially.
 	Workers int
 	// Obs, when non-nil, traces the harness stages on the "difftest"
 	// track, counts grid progress (difftest.cells_completed,
@@ -89,7 +88,8 @@ type Result struct {
 // module, and checks every (mode, seed) weak-memory execution of the
 // ported program against the reference. A non-nil error describes the
 // first divergence or infrastructure failure.
-func Run(src string, entries []string, opts Options) (*Result, error) {
+func Run(src string, entries []string, opts Options) (_ *Result, err error) {
+	defer diag.Guard("difftest.Run", &err)
 	seeds := opts.Seeds
 	if len(seeds) == 0 {
 		seeds = DefaultSeeds()
@@ -128,7 +128,7 @@ func Run(src string, entries []string, opts Options) (*Result, error) {
 	rets := make([][]int64, len(seeds))
 	cRef := opts.Obs.Counter("difftest.reference_runs_completed")
 	sp = trk.Begin("difftest.reference")
-	err = gridRun(len(seeds), opts.Workers, func(i int) error {
+	err = fanout.Each(opts.Workers, len(seeds), func(_, i int) error {
 		snap, returns, err := execute(res.Module, vm.Options{
 			Model:      memmodel.ModelSC,
 			Entries:    entries,
@@ -163,7 +163,7 @@ func Run(src string, entries []string, opts Options) (*Result, error) {
 	cells := len(modes) * len(seeds)
 	cCells := opts.Obs.Counter("difftest.cells_completed")
 	sp = trk.Begin("difftest.grid").Arg("cells", cells)
-	err = gridRun(cells, opts.Workers, func(i int) error {
+	err = fanout.Each(opts.Workers, cells, func(_, i int) error {
 		// The caller's seed anchors the cell; vm.GridSeed folds the mode
 		// in so no two grid cells hand their schedulers the same RNG
 		// stream (reusing the bare seed across modes would replay the
@@ -202,60 +202,6 @@ func Run(src string, entries []string, opts Options) (*Result, error) {
 		out.RaceExecutions = n
 	}
 	return out, nil
-}
-
-// gridRun evaluates fn for every index in [0, n) across workers
-// goroutines. A sequential loop reports the first error it hits;
-// gridRun reports the error of the lowest index, so the observed
-// failure is the same one regardless of worker count. fn must be safe
-// to call concurrently for distinct indices.
-func gridRun(n, workers int, fn func(i int) error) error {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	// A panic in fn is contained as that index's error (stack attached),
-	// not left to kill the process from a pool goroutine.
-	runIdx := func(i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = &diag.InternalError{
-					Stage: "difftest.grid", Value: r, Stack: string(debug.Stack()),
-				}
-			}
-		}()
-		return fn(i)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = runIdx(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // checkRaces sweeps the ported module for data races across the

@@ -1,8 +1,8 @@
 // Package leakcheck asserts that a test leaves no goroutines behind.
-// The worker pools in this repository (pipeline fan-out, mc frontier
-// workers, race sweeps, difftest grid, the serving daemon) all promise
-// that every goroutine they start exits before their entry point
-// returns — on success, cancellation, and panic alike. leakcheck makes
+// The goroutines of this repository (fanout.Each workers, mc frontier
+// workers, the serving daemon) all promise that every goroutine they
+// start exits before their entry point returns — on success,
+// cancellation, and panic alike. leakcheck makes
 // that promise testable without external dependencies: it snapshots the
 // goroutine profile, runs the test, and retries the comparison briefly
 // so goroutines that are mid-exit (runtime bookkeeping, closing

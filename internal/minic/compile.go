@@ -1,5 +1,5 @@
 // Compile driver: the frontend entry point, its options, and the
-// worker pools that parallelize parsing and lowering.
+// fan-out of parsing and lowering.
 //
 // The frontend runs in four phases — lex, parse, lower, verify — and
 // the middle two fan out across Options.Workers goroutines:
@@ -9,11 +9,11 @@
 //     are parsed concurrently, and the fragments are merged in source
 //     order, so the AST is identical to a sequential Parse for every
 //     worker count.
-//   - lower: function bodies are lowered concurrently, one worker per
-//     claimed function (instruction IDs and block names are
-//     per-function state, so each lowered function is byte-identical
-//     to its sequential lowering); per-function stats and NoInline
-//     marks land in per-function slots merged in module order.
+//   - lower: function bodies are lowered concurrently by fanout.Each
+//     (instruction IDs and block names are per-function state, so each
+//     lowered function is byte-identical to its sequential lowering);
+//     per-function stats and NoInline marks land in per-function slots
+//     merged in module order.
 //
 // Determinism contract: CompileOpts produces a byte-identical module
 // (and identical Stats) for every Workers value — docs/PIPELINE.md
@@ -22,12 +22,10 @@ package minic
 
 import (
 	"fmt"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/diag"
+	"repro/internal/fanout"
 	"repro/internal/ir"
 	"repro/internal/obs"
 )
@@ -75,8 +73,8 @@ func Compile(name, src string) (*Result, error) {
 	return CompileOpts(name, src, Options{})
 }
 
-// CompileOpts is Compile with a worker pool and observability: parsing
-// and lowering fan out across opts.Workers goroutines with the module
+// CompileOpts is Compile with a fan-out and observability: parsing and
+// lowering fan out across opts.Workers goroutines with the module
 // byte-identical at every worker count.
 func CompileOpts(name, src string, opts Options) (res *Result, err error) {
 	defer diag.Guard("minic.Compile", &err)
@@ -140,41 +138,6 @@ func CompileOpts(name, src string, opts Options) (res *Result, err error) {
 	return &Result{Module: c.mod, Stats: c.stats, Timing: timing}, nil
 }
 
-// frontPanic carries a panic out of a pool goroutine to the goroutine
-// that owns the pool, preserving the worker's stack, so the caller's
-// diag guard turns it into a structured error on the right goroutine.
-type frontPanic struct {
-	val   any
-	stack []byte
-}
-
-func (p *frontPanic) String() string {
-	return fmt.Sprintf("frontend worker panic: %v\n%s", p.val, p.stack)
-}
-
-// runPool runs body on workers goroutines and waits for all of them.
-// The first worker panic is re-raised on the calling goroutine.
-func runPool(workers int, body func(w int)) {
-	var wg sync.WaitGroup
-	var first atomic.Pointer[frontPanic]
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					first.CompareAndSwap(nil, &frontPanic{val: r, stack: debug.Stack()})
-				}
-			}()
-			body(w)
-		}(w)
-	}
-	wg.Wait()
-	if p := first.Load(); p != nil {
-		panic(p)
-	}
-}
-
 // funcOut is one function's lowering result slot: per-function stats
 // deltas (asm mapping counters) and the NoInline marks the body
 // requested (spawn targets), applied sequentially in module order so
@@ -186,56 +149,21 @@ type funcOut struct {
 }
 
 // compileFuncs lowers every function body, fanning out across the
-// compiler's worker count. Workers claim function indices from a
-// shared cursor and write into per-function slots; the sequential
-// merge consumes slots in module order, so stats, NoInline marks and
-// the first reported error all match the sequential frontend.
+// compiler's worker count. Workers write into per-function slots; the
+// sequential merge consumes them in module order, so stats, NoInline
+// marks and the reported error (the lowest failing function's) all
+// match the sequential frontend.
 func (c *compiler) compileFuncs(funcs []*FuncDecl) error {
-	workers := c.workers
-	if workers > len(funcs) {
-		workers = len(funcs)
-	}
-	if workers <= 1 {
-		scratch := &lowerScratch{}
-		for _, fd := range funcs {
-			var out funcOut
-			c.compileFunc(fd, scratch, &out)
-			if out.err != nil {
-				return out.err
-			}
-			c.mergeFuncOut(&out)
-		}
-		return nil
-	}
 	outs := make([]funcOut, len(funcs))
-	var cursor atomic.Int64
-	var failed atomic.Bool
-	runPool(workers, func(w int) {
-		trk := c.obs.Track(fmt.Sprintf("frontend.worker-%02d", w))
-		sp := trk.Begin("frontend.lower_shard")
-		scratch := &lowerScratch{}
-		lowered := 0
-		for !failed.Load() {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(funcs) {
-				break
-			}
-			c.compileFunc(funcs[i], scratch, &outs[i])
-			if outs[i].err != nil {
-				failed.Store(true)
-			}
-			lowered++
-		}
-		sp.Arg("funcs", lowered).End()
+	scratch := make([]lowerScratch, min(c.workers, len(funcs)))
+	err := fanout.Each(c.workers, len(funcs), func(w, i int) error {
+		c.compileFunc(funcs[i], &scratch[w], &outs[i])
+		return outs[i].err
 	})
-	// The cursor hands out indices in increasing order, so when any
-	// slot errors, every lower index was claimed and finished: the
-	// first error in slot order is the error the sequential frontend
-	// would have reported.
+	if err != nil {
+		return err
+	}
 	for i := range outs {
-		if outs[i].err != nil {
-			return outs[i].err
-		}
 		c.mergeFuncOut(&outs[i])
 	}
 	return nil

@@ -20,17 +20,18 @@ package minic
 
 import (
 	"fmt"
-	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/obs"
 )
 
-// chunksPerWorker oversizes the chunk count relative to the pool so a
-// few declaration-heavy chunks cannot stall the tail of the sweep.
+// chunksPerWorker oversizes the chunk count relative to the worker
+// count so a few declaration-heavy chunks cannot stall the tail of the
+// sweep.
 const chunksPerWorker = 4
 
-// minChunkTokens keeps the pool from spawning goroutines for trivially
-// small parses where coordination would dominate.
+// minChunkTokens keeps trivially small parses from fanning out, where
+// coordination would dominate.
 const minChunkTokens = 256
 
 // splitDecls returns the token index one past the end of each
@@ -113,7 +114,7 @@ func parseTokens(toks []Token, workers int, prov *obs.Provider) (*File, error) {
 
 // parseChunked is the parallel parse path: split, fan out, merge in
 // source order. ok=false means the caller must parse sequentially
-// (unprovable bracketing, too few chunks to pay for the pool, or any
+// (unprovable bracketing, too few chunks to pay for the fan-out, or any
 // chunk error — the sequential run then reports the canonical error).
 func parseChunked(toks []Token, workers int, prov *obs.Provider) (*File, bool) {
 	ends, ok := splitDecls(toks)
@@ -129,26 +130,18 @@ func parseChunked(toks []Token, workers int, prov *obs.Provider) (*File, bool) {
 	}
 	prov.Counter("frontend.chunks_split").Add(int64(len(spans)))
 	frags := make([]*File, len(spans))
-	var cursor atomic.Int64
-	var failed atomic.Bool
-	runPool(workers, func(w int) {
-		trk := prov.Track(fmt.Sprintf("frontend.worker-%02d", w))
-		for !failed.Load() {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(spans) {
-				break
-			}
-			sp := trk.Begin("frontend.parse_chunk")
-			f, err := parseChunk(toks[spans[i][0]:spans[i][1]])
-			sp.Arg("tokens", spans[i][1]-spans[i][0]).End()
-			if err != nil {
-				failed.Store(true)
-				return
-			}
-			frags[i] = f
-		}
+	trks := make([]*obs.Track, workers)
+	for w := range trks {
+		trks[w] = prov.Track(fmt.Sprintf("frontend.worker-%02d", w))
+	}
+	err := fanout.Each(workers, len(spans), func(w, i int) error {
+		sp := trks[w].Begin("frontend.parse_chunk")
+		f, err := parseChunk(toks[spans[i][0]:spans[i][1]])
+		sp.Arg("tokens", spans[i][1]-spans[i][0]).End()
+		frags[i] = f
+		return err
 	})
-	if failed.Load() {
+	if err != nil {
 		return nil, false
 	}
 	merged := &File{}

@@ -32,13 +32,12 @@ package stress
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/diag"
+	"repro/internal/fanout"
 	"repro/internal/ir"
 	"repro/internal/memmodel"
 	"repro/internal/obs"
@@ -220,7 +219,16 @@ type cell struct {
 	stepLimit  bool
 	violation  string // empty when the execution passed
 	newReports []*race.Report
-	err        error
+}
+
+// sweeper is one worker's private state, built on its first cell: a
+// detector behind its sampler, and the pooled VM with the controller
+// shell that is reseeded per schedule.
+type sweeper struct {
+	det *race.Detector
+	smp *sampler
+	ctl *reseed
+	v   *vm.VM
 }
 
 // Sweep runs the schedule grid over the module's entry threads.
@@ -251,106 +259,80 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 	defer sp.End()
 
 	out := &Result{}
-	// stopAt is the lowest grid cell whose finding satisfied StopWhen
-	// (or -1 on context cancel); workers stop claiming cells past it.
-	stopAt := int64(len(cells))
-	var next atomic.Int64
+	// stop is the lowest grid cell whose finding satisfied StopWhen (or
+	// -1 on context cancel); cells past it are skipped.
 	var stop atomic.Int64
-	stop.Store(stopAt)
+	stop.Store(int64(len(cells)))
 	var resets, allocs atomic.Int64
-	dets := make([]*race.Detector, workers)
-	smps := make([]*sampler, workers)
+	ws := make([]*sweeper, workers)
 
-	worker := func(w int) {
-		// 4x headroom over the resolved cap so a single saturated worker
-		// does not make the merged (sorted, capped) set depend on how
-		// the grid was partitioned.
-		det := race.New(opts.Model, race.Options{MaxReports: 4 * opts.MaxReports, Obs: opts.Obs})
-		dets[w] = det
-		smp := newSampler(det, opts.Model, opts.Sample)
-		smps[w] = smp
-		ctl := &reseed{}
-		var v *vm.VM
-		runCell := func(i int) {
-			defer func() {
-				if r := recover(); r != nil {
-					cells[i].err = &diag.InternalError{
-						Stage: "stress.Sweep", Value: r, Stack: string(debug.Stack()),
-					}
-				}
-			}()
-			sc := scheduleOf(opts, i)
-			ctl.inner = vm.NewScheduler(sc.Mode, sc.Seed)
-			smp.begin(mix(uint64(sc.Seed)))
-			det.BeginExec()
-			var err error
-			if v == nil {
-				v, err = vm.New(m, vm.Options{
-					Model:      opts.Model,
-					Entries:    opts.Entries,
-					Controller: ctl,
-					MaxSteps:   opts.MaxSteps,
-					Costs:      vm.DefaultCosts(),
-					Hook:       smp,
-				})
-				allocs.Add(1)
-			} else {
-				err = v.Reset()
-				resets.Add(1)
-			}
-			if err != nil {
-				cells[i].err = fmt.Errorf("stress (%s): %w", sc, err)
-				return
-			}
-			res, err := v.Run()
-			if err != nil {
-				cells[i].err = fmt.Errorf("stress (%s): %w", sc, err)
-				return
-			}
-			c := &cells[i]
-			c.ran = true
-			c.steps = res.Steps
-			cSched.Inc()
-			hSteps.Observe(res.Steps)
-			switch res.Status {
-			case vm.StatusAssertFailed, vm.StatusDeadlock:
-				c.violation = fmt.Sprintf("%s: %s", res.Status, res.FailMsg)
-			case vm.StatusStepLimit:
-				c.stepLimit = true
-			}
-			c.newReports = append([]*race.Report(nil), det.ExecNewReports()...)
-			if opts.StopWhen != nil && cellStops(opts, sc, c) {
-				// Lower the stop watermark to this cell (keep the minimum).
-				for {
-					cur := stop.Load()
-					if cur <= int64(i) || stop.CompareAndSwap(cur, int64(i)) {
-						break
-					}
+	err = fanout.Each(workers, len(cells), func(w, i int) error {
+		if opts.Context != nil && opts.Context.Err() != nil {
+			stop.Store(-1)
+		}
+		if int64(i) > stop.Load() {
+			return nil
+		}
+		sw := ws[w]
+		if sw == nil {
+			// 4x headroom over the resolved cap so a single saturated
+			// worker does not make the merged (sorted, capped) set
+			// depend on how the grid was partitioned.
+			det := race.New(opts.Model, race.Options{MaxReports: 4 * opts.MaxReports, Obs: opts.Obs})
+			sw = &sweeper{det: det, smp: newSampler(det, opts.Model, opts.Sample), ctl: &reseed{}}
+			ws[w] = sw
+		}
+		sc := scheduleOf(opts, i)
+		sw.ctl.inner = vm.NewScheduler(sc.Mode, sc.Seed)
+		sw.smp.begin(mix(uint64(sc.Seed)))
+		sw.det.BeginExec()
+		var err error
+		if sw.v == nil {
+			sw.v, err = vm.New(m, vm.Options{
+				Model:      opts.Model,
+				Entries:    opts.Entries,
+				Controller: sw.ctl,
+				MaxSteps:   opts.MaxSteps,
+				Costs:      vm.DefaultCosts(),
+				Hook:       sw.smp,
+			})
+			allocs.Add(1)
+		} else {
+			err = sw.v.Reset()
+			resets.Add(1)
+		}
+		if err != nil {
+			return fmt.Errorf("stress (%s): %w", sc, err)
+		}
+		res, err := sw.v.Run()
+		if err != nil {
+			return fmt.Errorf("stress (%s): %w", sc, err)
+		}
+		c := &cells[i]
+		c.ran = true
+		c.steps = res.Steps
+		cSched.Inc()
+		hSteps.Observe(res.Steps)
+		switch res.Status {
+		case vm.StatusAssertFailed, vm.StatusDeadlock:
+			c.violation = fmt.Sprintf("%s: %s", res.Status, res.FailMsg)
+		case vm.StatusStepLimit:
+			c.stepLimit = true
+		}
+		c.newReports = append([]*race.Report(nil), sw.det.ExecNewReports()...)
+		if opts.StopWhen != nil && cellStops(opts, sc, c) {
+			// Lower the stop watermark to this cell (keep the minimum).
+			for {
+				cur := stop.Load()
+				if cur <= int64(i) || stop.CompareAndSwap(cur, int64(i)) {
+					break
 				}
 			}
 		}
-		for {
-			if opts.Context != nil && opts.Context.Err() != nil {
-				stop.Store(-1)
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(cells) || int64(i) > stop.Load() {
-				return
-			}
-			runCell(i)
-		}
-	}
-
-	if workers <= 1 {
-		worker(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) { defer wg.Done(); worker(w) }(w)
-		}
-		wg.Wait()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Merge: distinct races by canonical key, findings in grid order
@@ -364,11 +346,11 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 	// across every worker's detector: the total is per-cell work, not
 	// per-worker work.
 	counts := make(map[string]int)
-	for _, det := range dets {
-		if det == nil {
+	for _, sw := range ws {
+		if sw == nil {
 			continue
 		}
-		for _, r := range det.Reports() {
+		for _, r := range sw.det.Reports() {
 			counts[r.Key()] += r.Count
 		}
 	}
@@ -376,11 +358,6 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 	var mergedList []*race.Report
 	for i := range cells {
 		c := &cells[i]
-		if c.err != nil {
-			out.Schedules = countRan(cells[:i])
-			out.Elapsed = time.Since(start)
-			return out, c.err
-		}
 		if !c.ran {
 			continue
 		}
@@ -421,10 +398,10 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 	out.Stopped = stop.Load() < int64(len(cells))
 	out.VMResets, out.VMAllocs = resets.Load(), allocs.Load()
 	// Each worker's sampler accumulated its tallies locally; fold them in.
-	for _, s := range smps {
-		if s != nil {
-			out.Forwarded += s.forwarded
-			out.Skipped += s.skipped
+	for _, sw := range ws {
+		if sw != nil {
+			out.Forwarded += sw.smp.forwarded
+			out.Skipped += sw.smp.skipped
 		}
 	}
 	cForwarded.Add(out.Forwarded)

@@ -3,9 +3,13 @@ package weaken
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/diag"
 	"repro/internal/ir"
+	"repro/internal/leakcheck"
 	"repro/internal/mc"
 	"repro/internal/obs"
 )
@@ -103,5 +107,69 @@ func TestCancelLeavesVerifiedModule(t *testing.T) {
 				t.Logf("-j %d: canceled after each of %d checks; every module re-verified %s", workers, n, base.Verdict)
 			}
 		})
+	}
+}
+
+// screenPanic is a context whose Err panics when the screening fan-out
+// calls it, standing in for a bug on a screening worker.
+type screenPanic struct{ context.Context }
+
+func (c screenPanic) Err() error {
+	// Only the screen's own cancellation checks panic (its fan-out
+	// callback, possibly through ctxErr), not the checker's.
+	pcs := make([]uintptr, 2)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if !strings.HasPrefix(f.Function, "repro/internal/weaken.") {
+			break
+		}
+		if strings.Contains(f.Function, "(*weakener).screen.") {
+			panic("injected screening failure")
+		}
+		if !more {
+			break
+		}
+	}
+	return c.Context.Err()
+}
+
+// TestScreeningPanicContained: a panic on a screening worker comes back
+// from Optimize as a diag.InternalError with the same one-line Error()
+// at -j 1 and -j 4, leaves no goroutine behind, and leaves the module
+// verifiable — screening only ever touches clones.
+func TestScreeningPanicContained(t *testing.T) {
+	leakcheck.Check(t)
+	ported, entries := diffTarget{name: "seqlock"}.ported(t)
+	opts := DefaultOptions(entries)
+	opts.DetectRaces = false
+	opts.Context = screenPanic{context.Background()}
+	var first string
+	for _, workers := range []int{1, 4} {
+		opts.Workers = workers
+		m, err := ir.CloneModule(ported)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Optimize(m, opts)
+		ie, ok := diag.AsInternal(err)
+		if !ok {
+			t.Fatalf("-j %d: want diag.InternalError, got %T: %v", workers, err, err)
+		}
+		msg := ie.Error()
+		if want := "weaken.Optimize: internal error: injected screening failure"; msg != want {
+			t.Errorf("-j %d: Error() = %q, want %q", workers, msg, want)
+		}
+		if first == "" {
+			first = msg
+		} else if msg != first {
+			t.Errorf("-j %d: Error() = %q, differs from -j 1's %q", workers, msg, first)
+		}
+		if onWorker := strings.Contains(ie.Diagnostics(), "created by repro/internal/fanout.Each"); onWorker != (workers > 1) {
+			t.Errorf("-j %d: panic on a fan-out worker goroutine = %t, want %t", workers, onWorker, workers > 1)
+		}
+		if err := ir.Verify(m); err != nil {
+			t.Fatalf("-j %d: module fails ir.Verify after the panic: %v", workers, err)
+		}
 	}
 }

@@ -105,12 +105,12 @@ func (w *weakener) verify(m *ir.Module, role checkRole) (res *mc.Result, el time
 		res, el, err = w.stressCheck(m, w.opts.StressSeeds, 1)
 		return res, el, true, err
 	case OracleStress:
-		// Screening runs single-threaded (the candidate pool is the
+		// Screening runs single-threaded (the candidate fan-out is the
 		// parallel axis); the sequential baseline and merge checks get
-		// the full fan-out and the heavier confirm budget.
+		// the full fan-out and a four times heavier confirm budget.
 		seeds, workers := w.opts.StressSeeds, 1
 		if role != roleScreen {
-			seeds, workers = w.opts.StressConfirmSeeds, w.res.Workers
+			seeds, workers = 4*w.opts.StressSeeds, w.res.Workers
 		}
 		res, el, err = w.stressCheck(m, seeds, workers)
 		return res, el, true, err

@@ -48,16 +48,14 @@ func (o Options) Salt() string {
 		if seeds == 0 {
 			seeds = defaultStressSeeds
 		}
-		confirm := o.StressConfirmSeeds
-		if confirm == 0 {
-			confirm = 4 * seeds
-		}
 		sample := o.StressSample
 		if sample <= 0 || sample >= 1 {
 			sample = 1
 		}
+		// sconfirm is OracleStress's confirm budget, always 4 × sseeds;
+		// it stays in the segment so existing fingerprints still match.
 		s += fmt.Sprintf("|oracle=%s|sseeds=%d|sconfirm=%d|ssample=%g",
-			o.Oracle, seeds, confirm, sample)
+			o.Oracle, seeds, 4*seeds, sample)
 	}
 	return s
 }

@@ -19,7 +19,7 @@
 //
 // The loop is round-based and group-tested. A round first verifies the
 // first alternative of every site as one batch against the live module
-// and commits it whole when it is accepted. Otherwise a screening pool
+// and commits it whole when it is accepted. Otherwise a screening fan-out
 // (Options.Workers) checks every candidate against a private clone of
 // the current module, and a sequential merge commits the survivors in
 // site order, verifying them as one cumulative batch and bisecting only
@@ -38,11 +38,11 @@ package weaken
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/alias"
 	"repro/internal/diag"
+	"repro/internal/fanout"
 	"repro/internal/ir"
 	"repro/internal/mc"
 	"repro/internal/memmodel"
@@ -97,11 +97,9 @@ type Options struct {
 	// proof.
 	Oracle OracleMode
 	// StressSeeds is the stress oracle's screening budget: schedules
-	// per scheduler mode per check (0 = 32).
+	// per scheduler mode per check (0 = 32). OracleStress spends four
+	// times as many on its baseline and merge checks.
 	StressSeeds int
-	// StressConfirmSeeds is the heavier budget OracleStress spends on
-	// the baseline and merge checks (0 = 4 × StressSeeds).
-	StressConfirmSeeds int
 	// StressSample is the stress oracle's per-location sampling
 	// fraction, 0 < f <= 1 (0 = 1: observe every location; see
 	// stress.Options.Sample for the soundness boundary).
@@ -293,9 +291,6 @@ func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, erro
 	}
 	if opts.StressSeeds == 0 {
 		opts.StressSeeds = defaultStressSeeds
-	}
-	if opts.StressConfirmSeeds == 0 {
-		opts.StressConfirmSeeds = 4 * opts.StressSeeds
 	}
 	workers := opts.Workers
 	if workers < 1 {
@@ -692,7 +687,6 @@ func firstPerSite(cands []candidate) ([]candidate, []int) {
 // screenOutcome is one candidate's screening verdict plus the checker
 // work it cost, carried back to the sequential aggregation step.
 type screenOutcome struct {
-	ran      bool // the candidate was actually verified (vs. skipped on cancel)
 	pass     bool
 	stressed bool // the stress oracle screened it (accounting bucket)
 	execs    int
@@ -700,74 +694,49 @@ type screenOutcome struct {
 }
 
 // screen checks every candidate of a round independently against a
-// private clone of the current module, fanning out over the worker
-// pool. Workers write only their own slot of the outcome slice; the
-// shared Result tallies (Tried/Accepted/Rejected, MCChecks/...) are
-// applied sequentially after the pool drains, in candidate order, so
-// both the verdicts and the published counts are deterministic
-// regardless of worker count or completion order.
+// private clone of the current module, fanning out through
+// fanout.Each. Workers write only their own slot of the outcome slice;
+// the shared Result tallies (Tried/Accepted/Rejected, MCChecks/...) are
+// applied sequentially after the fan-out, in candidate order, so both
+// the verdicts and the published counts are deterministic regardless
+// of worker count or completion order.
 func (w *weakener) screen(cands []candidate, workers int) ([]bool, error) {
 	outs := make([]screenOutcome, len(cands))
-	errs := make([]error, len(cands))
-	var cursor int
-	var mu sync.Mutex
-	next := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if w.opts.Context != nil && w.opts.Context.Err() != nil {
-			return -1
+	trks := make([]*obs.Track, min(workers, len(cands)))
+	for wi := range trks {
+		trks[wi] = w.opts.Obs.Track(fmt.Sprintf("weaken.worker-%02d", wi))
+	}
+	err := fanout.Each(workers, len(cands), func(wi, i int) error {
+		if err := w.ctxErr(); err != nil {
+			return err
 		}
-		i := cursor
-		cursor++
-		if i >= len(cands) {
-			return -1
-		}
-		return i
+		c := cands[i]
+		s := &w.sites[c.siteIdx]
+		cs := trks[wi].Begin("weaken.candidate").
+			Arg("site", race.SiteString(s.in)).Arg("to", ordName(c))
+		var err error
+		outs[i], err = w.screenOne(c)
+		cs.Arg("pass", outs[i].pass).End()
+		return err
+	})
+	if err == nil {
+		// A cancel that lands after the last claim still voids the
+		// round: its late screens may have been cut short.
+		err = w.ctxErr()
 	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			trk := w.opts.Obs.Track(fmt.Sprintf("weaken.worker-%02d", wi))
-			for {
-				i := next()
-				if i < 0 {
-					return
-				}
-				c := cands[i]
-				s := &w.sites[c.siteIdx]
-				cs := trk.Begin("weaken.candidate").
-					Arg("site", race.SiteString(s.in)).Arg("to", ordName(c))
-				outs[i], errs[i] = w.screenOne(c)
-				cs.Arg("pass", outs[i].pass).End()
-			}
-		}(wi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := w.ctxErr(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	pass := make([]bool, len(cands))
 	for i, o := range outs {
 		pass[i] = o.pass
-		if o.ran {
-			if o.stressed {
-				w.noteStress(o.execs, o.elapsed)
-			} else {
-				w.note(o.execs, o.elapsed)
-			}
-			if !o.pass {
-				w.tally(false)
-			}
+		if o.stressed {
+			w.noteStress(o.execs, o.elapsed)
+		} else {
+			w.note(o.execs, o.elapsed)
+		}
+		if !o.pass {
+			w.tally(false)
 		}
 	}
 	return pass, nil
@@ -801,7 +770,7 @@ func (w *weakener) screenOne(c candidate) (screenOutcome, error) {
 		return screenOutcome{}, err
 	}
 	return screenOutcome{
-		ran: true, pass: w.acceptFor(res, stressed), stressed: stressed,
+		pass: w.acceptFor(res, stressed), stressed: stressed,
 		execs: res.Executions, elapsed: el,
 	}, nil
 }
@@ -932,8 +901,8 @@ func (w *weakener) accepted(res *mc.Result) bool {
 
 // tally counts one candidate's outcome: committed, or rejected by a
 // screen or by bisection. Sequential only: it writes plain Result
-// fields, so screening aggregates after the pool drains rather than
-// calling it from workers.
+// fields, so screening aggregates after its fan-out returns rather
+// than calling it from workers.
 func (w *weakener) tally(ok bool) {
 	w.res.Tried++
 	w.c.tried.Inc()
