@@ -6,7 +6,7 @@ GO      ?= go
 GOFMT   ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check fanout-check test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke clean
+.PHONY: all build vet fmt-check fanout-check grid-check test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke clean
 
 # Module size for the pipeline byte-identical-output smoke. Big enough
 # to exercise the parallel fan-out, small enough for `make check`.
@@ -52,6 +52,16 @@ fanout-check:
 		xargs grep -nE '^[[:space:]]*go[[:space:]]+(func[[:space:](]|[A-Za-z_][A-Za-z0-9_.]*[[:space:]]*\()'); \
 	if [ -n "$$lines" ]; then echo "goroutines outside fanout.Each (use fanout.Each):"; echo "$$lines"; exit 1; fi
 
+# Grid gate: fails, naming the lines, when a tracked non-test .go file
+# outside internal/stress and internal/vm calls vm.GridSeed, the
+# function that derives schedule-grid seeds. Every schedule grid runs
+# on stress.Sweep (docs/STRESS.md); a caller deriving grid seeds itself
+# is a private grid engine.
+grid-check:
+	@lines=$$(git ls-files '*.go' ':!:*_test.go' ':!:internal/stress/' ':!:internal/vm/' | \
+		xargs grep -nE 'GridSeed[[:space:]]*\('); \
+	if [ -n "$$lines" ]; then echo "vm.GridSeed outside internal/stress and internal/vm (sweep with stress.Sweep):"; echo "$$lines"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -60,7 +70,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check fanout-check test test-race bench-mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
+check: build vet fmt-check fanout-check grid-check test test-race bench-mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
 
 # Model-checker scaling sweep (docs/MODEL-CHECKER.md): exhaustive
 # exploration of the litmus+seqlock corpus at 1..8 workers, appending

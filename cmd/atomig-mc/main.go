@@ -19,7 +19,7 @@
 // schedule-fuzzing stress engine (docs/STRESS.md): a seeded sweep of
 // controlled-random schedules with the race detector sampling -sample
 // of the plain locations — no verdict proof, but production-scale
-// throughput, under -model tso or wmm. It is the one schedule-sweep
+// throughput, under any -model. It is the one schedule-sweep
 // CLI; atomig-run replays any single schedule it reports. -minimize
 // reduces the first race found to a litmus-sized program and confirms
 // it exhaustively:
@@ -136,10 +136,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, fmt.Errorf("-j %d: need at least one worker", *workers))
 	}
 	if *stressMode {
-		if mm == memmodel.ModelSC {
-			// stress.Options reads the zero Model as its WMM default.
-			return fail(stderr, fmt.Errorf("-stress sweeps run under -model tso or wmm, not sc"))
-		}
 		code := runStress(stdout, stderr, mod, mm, entryList,
 			*seeds, *sample, *baseSeed, *workers, *minimize, prov)
 		if err := of.Close(prov); err != nil {

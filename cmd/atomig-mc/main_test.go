@@ -45,7 +45,6 @@ func TestMalformedInputs(t *testing.T) {
 		{"malformed minic", []string{"-entries", "a", writeFile(t, "bad.c", "void f( {")}},
 		{"malformed air", []string{"-entries", "a", writeFile(t, "bad.air", "define [")}},
 		{"bad resume token", []string{"-corpus", "mp", "-resume", "not-a-token"}},
-		{"stress under sc", []string{"-corpus", "mp", "-stress", "-model", "sc"}},
 	}
 	for _, tc := range cases {
 		code, _, stderr := runMC(t, tc.args...)
@@ -70,6 +69,16 @@ void reader(void) {
   assert(msg == 1);
 }
 `
+
+// TestStressUnderSC: -model sc sweeps under SC. mp's assertion cannot
+// fail there (under WMM the same sweep exits 1), but its plain flag
+// accesses still race in the C11 sense, so the sweep exits 4.
+func TestStressUnderSC(t *testing.T) {
+	code, stdout, stderr := runMC(t, "-stress", "-seeds", "4", "-model", "sc", "-corpus", "mp")
+	if code != 4 || !strings.HasPrefix(stdout, "model=sc stress schedules=20 ") || strings.Contains(stdout, "violation") {
+		t.Fatalf("exit %d, want 4 (racy, no violation)\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+}
 
 // Violation found => exit 1; ported and verified => exit 0.
 func TestVerdictExitCodes(t *testing.T) {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -10,28 +9,6 @@ import (
 	"repro/internal/memmodel"
 	"repro/internal/obs"
 )
-
-// TestObsOverheadSmoke runs the overhead harness on a small program and
-// checks the table renders. Absolute numbers are machine-dependent;
-// what the test pins down is that both configurations fully explore.
-func TestObsOverheadSmoke(t *testing.T) {
-	rows, err := ObsOverhead([]string{"mp"}, 2)
-	if err != nil {
-		t.Fatalf("ObsOverhead: %v", err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("%d rows, want 1", len(rows))
-	}
-	if rows[0].Executions == 0 {
-		t.Error("no executions explored")
-	}
-	out := FormatObsOverhead(rows)
-	for _, want := range []string{"mp", "slowdown", "ns/exec"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table lacks %q:\n%s", want, out)
-		}
-	}
-}
 
 // TestObsDisabledWithinNoise is the zero-cost gate for the disabled
 // path: exploring with a nil provider must stay within noise of

@@ -115,9 +115,7 @@ func PipelineScaling(sloc int, seed int64, workerCounts []int, prov *obs.Provide
 	var baseline time.Duration
 	var baseHash string
 	for i, j := range workerCounts {
-		start := time.Now()
-		res, err := minic.CompileOpts(spec.Name+".c", src, minic.Options{Workers: j, Obs: prov})
-		compileTime := time.Since(start)
+		res, ph, err := compileTraced(spec.Name+".c", src, j, prov)
 		if err != nil {
 			return nil, fmt.Errorf("bench: compile %d-line module -j %d: %w", sloc, j, err)
 		}
@@ -128,7 +126,7 @@ func PipelineScaling(sloc int, seed int64, workerCounts []int, prov *obs.Provide
 		if err != nil {
 			return nil, fmt.Errorf("bench: port -j %d: %w", j, err)
 		}
-		elapsed := compileTime + rep.Duration
+		elapsed := ph.elapsed + rep.Duration
 		sum := sha256.Sum256([]byte(res.Module.String()))
 		hash := hex.EncodeToString(sum[:8])
 		if i == 0 {
@@ -142,9 +140,9 @@ func PipelineScaling(sloc int, seed int64, workerCounts []int, prov *obs.Provide
 			SLOC:        lines,
 			Funcs:       len(res.Module.Funcs),
 			Workers:     j,
-			LexMS:       ms(res.Timing.Lex),
-			ParseMS:     ms(res.Timing.Parse),
-			LowerMS:     ms(res.Timing.Lower + res.Timing.Verify),
+			LexMS:       ph.lex,
+			ParseMS:     ph.parse,
+			LowerMS:     ph.lower,
 			PortMS:      ms(rep.Duration),
 			ElapsedMS:   ms(elapsed),
 			Spinloops:   rep.Spinloops,
@@ -164,6 +162,48 @@ func PipelineScaling(sloc int, seed int64, workerCounts []int, prov *obs.Provide
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// phases is one compile's wall clock and its lex, parse and lower
+// times in ms; lower includes the IR verify, as the row columns do.
+type phases struct {
+	elapsed           time.Duration
+	lex, parse, lower float64
+}
+
+// compileTraced compiles src under a tracer — prov's own when it
+// traces, else a private one beside prov's metrics — and reads the
+// phase times from the compile's frontend.* spans, the same data
+// perfbench and a trace export show.
+func compileTraced(name, src string, workers int, prov *obs.Provider) (*minic.Result, phases, error) {
+	p := prov
+	if p == nil || p.Tracer == nil {
+		p = obs.NewTracing()
+		if prov != nil {
+			p.Registry, p.Logs = prov.Registry, prov.Logs
+		}
+	}
+	start := time.Now()
+	res, err := minic.CompileOpts(name, src, minic.Options{Workers: workers, Obs: p})
+	ph := phases{elapsed: time.Since(start)}
+	if err != nil {
+		return nil, ph, err
+	}
+	// A caller's tracer may hold earlier compiles: the last span of each
+	// phase is this one's.
+	begin := make(map[string]float64)
+	dur := make(map[string]float64)
+	for _, ev := range p.Tracer.Events() {
+		switch ev.Ph {
+		case "B":
+			begin[ev.Name] = ev.TS
+		case "E":
+			dur[ev.Name] = (ev.TS - begin[ev.Name]) / 1e3
+		}
+	}
+	ph.lex, ph.parse = dur["frontend.lex"], dur["frontend.parse"]
+	ph.lower = dur["frontend.lower"] + dur["frontend.verify"]
+	return res, ph, nil
+}
 
 // FormatPipelineScaling renders the sweep.
 func FormatPipelineScaling(rows []PipelineScalingRow) string {
@@ -216,9 +256,8 @@ func FrontendScaling(sloc int, seed int64, workerCounts []int, prov *obs.Provide
 	var baseline time.Duration
 	var baseHash string
 	for i, j := range workerCounts {
-		start := time.Now()
-		res, err := minic.CompileOpts(spec.Name+".c", src, minic.Options{Workers: j, Obs: prov})
-		elapsed := time.Since(start)
+		res, ph, err := compileTraced(spec.Name+".c", src, j, prov)
+		elapsed := ph.elapsed
 		if err != nil {
 			return nil, fmt.Errorf("bench: compile %d-line module -j %d: %w", sloc, j, err)
 		}
@@ -235,9 +274,9 @@ func FrontendScaling(sloc int, seed int64, workerCounts []int, prov *obs.Provide
 			SLOC:       lines,
 			Funcs:      len(res.Module.Funcs),
 			Workers:    j,
-			LexMS:      ms(res.Timing.Lex),
-			ParseMS:    ms(res.Timing.Parse),
-			LowerMS:    ms(res.Timing.Lower + res.Timing.Verify),
+			LexMS:      ph.lex,
+			ParseMS:    ph.parse,
+			LowerMS:    ph.lower,
 			ElapsedMS:  ms(elapsed),
 			OutputHash: hash,
 		}

@@ -14,6 +14,8 @@ import (
 // 1, 2 and 8 workers must produce byte-identical output
 // (PipelineScaling errors out on any hash drift). A smaller module
 // than the headline run keeps this inside the regular test budget.
+// Every row's phase columns come from the frontend spans and must be
+// measured and fit in the row's elapsed time.
 func TestPipelineScalingNoDrift(t *testing.T) {
 	rows, err := PipelineScaling(12_000, 7, []int{1, 2, 8}, nil)
 	if err != nil {
@@ -34,11 +36,25 @@ func TestPipelineScalingNoDrift(t *testing.T) {
 			t.Errorf("-j %d: elapsed %.1fms < port %.1fms; compile time missing from the end-to-end figure",
 				r.Workers, r.ElapsedMS, r.PortMS)
 		}
+		checkPhases(t, r.Workers, r.LexMS, r.ParseMS, r.LowerMS, r.ElapsedMS)
+	}
+}
+
+// checkPhases requires every frontend phase column of a row to be
+// measured (above 0) and the phases to fit in the row's elapsed time.
+func checkPhases(t *testing.T, j int, lex, parse, lower, elapsed float64) {
+	t.Helper()
+	if lex <= 0 || parse <= 0 || lower <= 0 {
+		t.Errorf("-j %d: phase columns lex %.3fms, parse %.3fms, lower %.3fms; want each above 0", j, lex, parse, lower)
+	}
+	if sum := lex + parse + lower; sum > elapsed {
+		t.Errorf("-j %d: lex+parse+lower %.3fms exceeds elapsed %.3fms", j, sum, elapsed)
 	}
 }
 
 // TestFrontendScalingNoDrift is the frontend half of the contract: the
-// compiled (un-ported) module is byte-identical at every worker count.
+// compiled (un-ported) module is byte-identical at every worker count,
+// with every phase column measured, as in the pipeline sweep.
 func TestFrontendScalingNoDrift(t *testing.T) {
 	rows, err := FrontendScaling(12_000, 11, []int{1, 2, 8}, nil)
 	if err != nil {
@@ -51,6 +67,7 @@ func TestFrontendScalingNoDrift(t *testing.T) {
 		if r.OutputHash != rows[0].OutputHash {
 			t.Errorf("-j %d module hash %s differs from baseline %s", r.Workers, r.OutputHash, rows[0].OutputHash)
 		}
+		checkPhases(t, r.Workers, r.LexMS, r.ParseMS, r.LowerMS, r.ElapsedMS)
 	}
 }
 

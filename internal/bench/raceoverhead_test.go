@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -9,35 +8,6 @@ import (
 	"repro/internal/race"
 	"repro/internal/vm"
 )
-
-// TestRaceOverheadSmoke runs the overhead harness on a small program
-// pair and checks the table renders. The slowdown itself is
-// machine-dependent; what the test pins down is that both
-// configurations execute and that the attached detector actually
-// observed the racy program.
-func TestRaceOverheadSmoke(t *testing.T) {
-	rows, err := RaceOverhead([]string{"mp", "seqlock-gap"}, 2)
-	if err != nil {
-		t.Fatalf("RaceOverhead: %v", err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d rows, want 2", len(rows))
-	}
-	for _, r := range rows {
-		if r.Steps == 0 {
-			t.Errorf("%s: no steps executed", r.Program)
-		}
-		if r.Races == 0 {
-			t.Errorf("%s: detector attached but found no races on a racy program", r.Program)
-		}
-	}
-	out := FormatRaceOverhead(rows)
-	for _, want := range []string{"mp", "seqlock-gap", "slowdown"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table lacks %q:\n%s", want, out)
-		}
-	}
-}
 
 // TestDetectorDoesNotPerturbExecution: the hook is observation-only —
 // the same (program, model, scheduler, seed) must take identical steps

@@ -1,10 +1,12 @@
 // Package difftest is the differential stress harness of the hardened
-// verification stack: it runs a schedule-independent concurrent program
-// under sequential consistency to obtain the reference final state, then
-// ports the program with the atomig pipeline and re-executes it under
-// the weak memory model across every fault-injection scheduler mode,
-// failing on any divergence in final global state, thread returns, or
-// termination status.
+// verification stack: it sweeps a schedule-independent concurrent
+// program under sequential consistency to obtain the reference final
+// state, then ports the program with the atomig pipeline and sweeps it
+// under the weak memory model across every fault-injection scheduler
+// mode, failing on any divergence in final global state, thread
+// returns, or termination status. Both sweeps run on the stress engine
+// (stress.Sweep with Outcomes), so every schedule grid in the repository
+// runs on one engine.
 //
 // The model checker (internal/mc) proves small programs exhaustively;
 // this harness is the complementary randomized check that the whole
@@ -14,13 +16,13 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/atomig"
 	"repro/internal/diag"
-	"repro/internal/fanout"
 	"repro/internal/ir"
 	"repro/internal/memmodel"
 	"repro/internal/minic"
@@ -33,9 +35,9 @@ import (
 
 // Options configures a differential run.
 type Options struct {
-	// Seeds drives both the SC self-consistency check and the per-mode
-	// weak-memory runs. Empty selects DefaultSeeds.
-	Seeds []int64
+	// Seeds is the number of schedules per scheduler mode in each sweep
+	// (0 = 4).
+	Seeds int
 	// Modes are the scheduler modes to stress. Empty selects every mode.
 	Modes []vm.SchedMode
 	// MaxSteps bounds each execution (0 = a generous default; the
@@ -45,62 +47,66 @@ type Options struct {
 	// Port configures the porting pipeline. Zero value selects
 	// atomig.DefaultOptions.
 	Port *atomig.Options
-	// DetectRaces additionally runs the happens-before race detector
-	// over the ported program's weak-memory executions. A race in the
-	// ported program is compared against a naive all-SC port of the same
+	// DetectRaces additionally fails the run when the weak-memory sweep
+	// of the ported program finds a data race. A race in the ported
+	// program is compared against a naive all-SC port of the same
 	// source (the paper's always-correct baseline): if the ported
 	// program races while the naive port does not, the port missed an
 	// access it should have promoted — a differential failure even when
 	// the final states happen to agree.
 	DetectRaces bool
-	// Workers fans the seeded executions (SC reference runs, per-mode
-	// weak-memory runs, race sweeps) out across that many goroutines
-	// through fanout.Each and stress.Sweep. Every (mode, seed) cell is
-	// independent, and on failure the error of the earliest cell in grid
-	// order is reported, so the outcome is identical for every worker
-	// count. 0 or 1 runs sequentially.
+	// Workers fans each sweep's schedule grid out across that many
+	// goroutines (stress.Options.Workers). Outcomes come back in grid
+	// order, so the error reported is the earliest failing cell's and
+	// the result is identical for every worker count. 0 or 1 runs
+	// sequentially.
 	Workers int
 	// Obs, when non-nil, traces the harness stages on the "difftest"
-	// track, counts grid progress (difftest.cells_completed,
-	// difftest.reference_runs_completed), and threads through to the
-	// pipeline, VM and stress-sweep metrics.
+	// track and threads through to the pipeline and stress-sweep
+	// metrics.
 	Obs *obs.Provider
 }
 
-// DefaultSeeds is the seed set used when Options.Seeds is empty.
-func DefaultSeeds() []int64 { return []int64{1, 2, 3, 4} }
-
-const defaultMaxSteps = 4_000_000
+const (
+	defaultSeeds    = 4
+	defaultMaxSteps = 4_000_000
+)
 
 // Result summarizes a passing differential run.
 type Result struct {
-	// Reference is the canonical final global state from the SC run.
+	// Reference is the canonical final global state from the SC sweep.
 	Reference map[string][]int64
-	// Runs is the number of weak-memory executions compared.
+	// Runs is the number of weak-memory schedules of the ported program
+	// compared against the reference.
 	Runs int
-	// RaceExecutions is the number of schedules the race sweep of the
-	// ported program ran (stress.Result.Schedules) when
-	// Options.DetectRaces is set.
-	RaceExecutions int
 }
 
 // Run compiles src, establishes the SC reference state, ports the
-// module, and checks every (mode, seed) weak-memory execution of the
-// ported program against the reference. A non-nil error describes the
-// first divergence or infrastructure failure.
+// module, and checks every weak-memory schedule of the ported program
+// against the reference. It sweeps the original once under SC, the
+// port once under WMM, and — only when DetectRaces is set and the port
+// races — a naive all-SC port as the control. A non-nil error describes
+// the earliest divergence or infrastructure failure.
 func Run(src string, entries []string, opts Options) (_ *Result, err error) {
 	defer diag.Guard("difftest.Run", &err)
-	seeds := opts.Seeds
-	if len(seeds) == 0 {
-		seeds = DefaultSeeds()
+	so := stress.Options{
+		Entries:  entries,
+		Seeds:    opts.Seeds,
+		BaseSeed: 1,
+		Sample:   1,
+		MaxSteps: opts.MaxSteps,
+		Workers:  opts.Workers,
+		Outcomes: true,
+		Obs:      opts.Obs,
 	}
-	modes := opts.Modes
-	if len(modes) == 0 {
-		modes = vm.AllSchedModes()
+	if len(opts.Modes) > 0 {
+		so.Modes = opts.Modes
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = defaultMaxSteps
+	if so.Seeds == 0 {
+		so.Seeds = defaultSeeds
+	}
+	if so.MaxSteps == 0 {
+		so.MaxSteps = defaultMaxSteps
 	}
 	port := atomig.DefaultOptions()
 	if opts.Port != nil {
@@ -121,181 +127,128 @@ func Run(src string, entries []string, opts Options) (_ *Result, err error) {
 	}
 
 	// Reference: the program must be schedule-independent under SC, so
-	// every seeded SC run must agree. A mismatch here means the input
-	// program is invalid for differential testing (the generator broke
-	// its own determinism contract), which is itself a bug worth failing.
-	snaps := make([]map[string][]int64, len(seeds))
-	rets := make([][]int64, len(seeds))
-	cRef := opts.Obs.Counter("difftest.reference_runs_completed")
+	// the SC sweep must end in exactly one outcome, a completed one. A
+	// second outcome means the input program is invalid for differential
+	// testing (the generator broke its own determinism contract), which
+	// is itself a bug worth failing.
+	so.Model = memmodel.ModelSC
 	sp = trk.Begin("difftest.reference")
-	err = fanout.Each(opts.Workers, len(seeds), func(_, i int) error {
-		snap, returns, err := execute(res.Module, vm.Options{
-			Model:      memmodel.ModelSC,
-			Entries:    entries,
-			Controller: vm.NewScheduler(vm.SchedRandom, seeds[i]),
-			MaxSteps:   maxSteps,
-			Watchdog:   true,
-			Obs:        opts.Obs,
-		})
-		if err != nil {
-			return fmt.Errorf("difftest: SC reference (seed %d): %w", seeds[i], err)
-		}
-		snaps[i], rets[i] = snap, returns
-		cRef.Inc()
-		return nil
-	})
+	sres, err := stress.Sweep(res.Module, so)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("difftest: SC reference: %w", err)
 	}
-	ref, refReturns := snaps[0], rets[0]
-	for i := 1; i < len(seeds); i++ {
-		if diff := diffState(ref, refReturns, snaps[i], rets[i]); diff != "" {
-			return nil, fmt.Errorf("difftest: program is schedule-dependent under SC (seed %d): %s", seeds[i], diff)
-		}
+	ref := sres.Outcomes[0]
+	if err := compare(res.Module, so, sres.Outcomes, ref,
+		"SC reference", "program is schedule-dependent under SC"); err != nil {
+		return nil, err
 	}
 
 	ported, _, err := atomig.PortClone(res.Module, port)
 	if err != nil {
 		return nil, fmt.Errorf("difftest: port: %w", err)
 	}
-
-	cells := len(modes) * len(seeds)
-	cCells := opts.Obs.Counter("difftest.cells_completed")
-	sp = trk.Begin("difftest.grid").Arg("cells", cells)
-	err = fanout.Each(opts.Workers, cells, func(_, i int) error {
-		// The caller's seed anchors the cell; vm.GridSeed folds the mode
-		// in so no two grid cells hand their schedulers the same RNG
-		// stream (reusing the bare seed across modes would replay the
-		// same PickNondet sequence in every mode of a column).
-		mode, seed := modes[i/len(seeds)], seeds[i%len(seeds)]
-		snap, returns, err := execute(ported, vm.Options{
-			Model:      memmodel.ModelWMM,
-			Entries:    entries,
-			Controller: vm.NewScheduler(mode, vm.GridSeed(seed, mode, 0)),
-			MaxSteps:   maxSteps,
-			Watchdog:   true,
-			Obs:        opts.Obs,
-		})
-		if err != nil {
-			return fmt.Errorf("difftest: ported under WMM, sched=%s seed=%d: %w", mode, seed, err)
-		}
-		if diff := diffState(ref, refReturns, snap, returns); diff != "" {
-			return fmt.Errorf("difftest: divergence under WMM, sched=%s seed=%d: %s", mode, seed, diff)
-		}
-		cCells.Inc()
-		return nil
-	})
+	so.Model = memmodel.ModelWMM
+	sp = trk.Begin("difftest.grid")
+	pres, err := stress.Sweep(ported, so)
 	sp.End()
 	if err != nil {
+		return nil, fmt.Errorf("difftest: ported under WMM: %w", err)
+	}
+	if err := compare(ported, so, pres.Outcomes, ref, "ported under WMM", "divergence under WMM"); err != nil {
 		return nil, err
 	}
-	out := &Result{Reference: ref, Runs: cells}
-
-	if opts.DetectRaces {
-		sp = trk.Begin("difftest.race_sweep")
-		n, err := checkRaces(res.Module, ported, entries, modes, len(seeds), maxSteps, opts.Workers, opts.Obs)
+	if opts.DetectRaces && pres.Detector.Races() > 0 {
+		// Racy port: blame it only if a naive all-SC port of the original
+		// source sweeps clean (the control). A racy control means the
+		// program itself is racy beyond what any porting strategy fixes,
+		// which is an infrastructure error, since difftest inputs are
+		// generated to be data-race-free once fully ported.
+		control, err := ir.CloneModule(res.Module)
+		if err != nil {
+			return nil, fmt.Errorf("difftest: clone for naive control: %w", err)
+		}
+		transform.Naive(control)
+		sp = trk.Begin("difftest.control")
+		cres, err := stress.Sweep(control, so)
 		sp.End()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("difftest: race sweep of naive control: %w", err)
 		}
-		out.RaceExecutions = n
+		if cres.Detector.Races() == 0 {
+			return nil, fmt.Errorf(
+				"difftest: ported program races but the naive-SC control does not — the port missed a promotion:\n%s",
+				race.FormatReports(pres.Races()))
+		}
+		return nil, fmt.Errorf(
+			"difftest: program races even under the naive-SC control (%d ported / %d control reports):\n%s",
+			pres.Detector.Races(), cres.Detector.Races(), race.FormatReports(pres.Races()))
 	}
-	return out, nil
+	return &Result{Reference: ref.Globals, Runs: pres.Schedules}, nil
 }
 
-// checkRaces sweeps the ported module for data races across the
-// scheduler modes and, when any are found, repeats the sweep on a naive
-// all-SC port of the original source as the control. Racy ported +
-// clean control = the atomig port missed a promotion; racy control too
-// = the program itself is racy beyond what any porting strategy fixes
-// (reported as an infrastructure error, since difftest inputs are
-// generated to be data-race-free once fully ported).
-func checkRaces(orig, ported *ir.Module, entries []string, modes []vm.SchedMode, seeds int, maxSteps int64, workers int, p *obs.Provider) (int, error) {
-	sweep := func(m *ir.Module) (*stress.Result, error) {
-		return stress.Sweep(m, stress.Options{
-			Model:    memmodel.ModelWMM,
-			Entries:  entries,
-			Modes:    modes,
-			Seeds:    seeds,
-			BaseSeed: 1,
-			Sample:   1,
-			MaxSteps: maxSteps,
-			Workers:  workers,
-			Obs:      p,
+// compare checks a sweep's outcomes, in grid order, against the
+// reference outcome: the first one that did not complete fails as
+// failed, and the first completed one that differs fails as diverged.
+// Both name the outcome's first schedule, which replays it.
+func compare(m *ir.Module, so stress.Options, outcomes []stress.Outcome, ref stress.Outcome, failed, diverged string) error {
+	for _, o := range outcomes {
+		if o.Status != vm.StatusDone {
+			return fmt.Errorf("difftest: %s (%s): %w", failed, o.First, describe(m, so, o))
+		}
+		if diff := diffOutcome(ref, o); diff != "" {
+			return fmt.Errorf("difftest: %s (%s): %s", diverged, o.First, diff)
+		}
+	}
+	return nil
+}
+
+// describe renders a schedule that did not complete as an error. A
+// step-limited schedule is replayed once with the livelock watchdog,
+// whose diagnosis names the threads that were spinning.
+func describe(m *ir.Module, so stress.Options, o stress.Outcome) error {
+	msg := fmt.Sprintf("execution ended with status %s", o.Status)
+	if o.Status == vm.StatusStepLimit {
+		res, err := vm.Run(m, vm.Options{
+			Model:      so.Model,
+			Entries:    so.Entries,
+			Controller: vm.NewScheduler(o.First.Mode, o.First.Seed),
+			MaxSteps:   so.MaxSteps,
+			Watchdog:   true,
 		})
+		if err != nil {
+			return err
+		}
+		if len(res.Livelock) > 0 {
+			msg += "\n" + vm.FormatLivelock(res.Livelock)
+		}
 	}
-	pres, err := sweep(ported)
-	if err != nil {
-		return 0, fmt.Errorf("difftest: race sweep of ported program: %w", err)
+	if o.Msg != "" {
+		msg += ": " + o.Msg
 	}
-	if pres.Detector.Races() == 0 {
-		return pres.Schedules, nil
-	}
-	control, err := ir.CloneModule(orig)
-	if err != nil {
-		return pres.Schedules, fmt.Errorf("difftest: clone for naive control: %w", err)
-	}
-	transform.Naive(control)
-	cres, err := sweep(control)
-	if err != nil {
-		return pres.Schedules, fmt.Errorf("difftest: race sweep of naive control: %w", err)
-	}
-	if cres.Detector.Races() == 0 {
-		return pres.Schedules, fmt.Errorf(
-			"difftest: ported program races but the naive-SC control does not — the port missed a promotion:\n%s",
-			race.FormatReports(pres.Races()))
-	}
-	return pres.Schedules, fmt.Errorf(
-		"difftest: program races even under the naive-SC control (%d ported / %d control reports):\n%s",
-		pres.Detector.Races(), cres.Detector.Races(), race.FormatReports(pres.Races()))
+	return errors.New(msg)
 }
 
-// execute runs one execution and returns the final global snapshot and
-// per-thread returns. Any status other than a clean completion is an
-// error; on a step-limit halt the watchdog's livelock diagnosis is
-// attached.
-func execute(m *ir.Module, opts vm.Options) (map[string][]int64, []int64, error) {
-	v, err := vm.New(m, opts)
-	if err != nil {
-		return nil, nil, err
+// diffOutcome reports how a completed outcome differs from the
+// reference: the first differing thread return, else every differing
+// global cell; "" when they are identical.
+func diffOutcome(ref, o stress.Outcome) string {
+	if len(o.Returns) != len(ref.Returns) {
+		return fmt.Sprintf("thread count %d != %d", len(o.Returns), len(ref.Returns))
 	}
-	out, err := v.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	if out.Status != vm.StatusDone {
-		msg := fmt.Sprintf("execution ended with status %s", out.Status)
-		if len(out.Livelock) > 0 {
-			msg += "\n" + vm.FormatLivelock(out.Livelock)
-		}
-		if out.FailMsg != "" {
-			msg += ": " + out.FailMsg
-		}
-		return nil, nil, fmt.Errorf("%s", msg)
-	}
-	return v.Snapshot(), out.Returns, nil
-}
-
-// diffState reports the first difference between two final states, or
-// "" when they are identical.
-func diffState(refSnap map[string][]int64, refReturns []int64, snap map[string][]int64, returns []int64) string {
-	if len(returns) != len(refReturns) {
-		return fmt.Sprintf("thread count %d != %d", len(returns), len(refReturns))
-	}
-	for i := range refReturns {
-		if returns[i] != refReturns[i] {
-			return fmt.Sprintf("thread %d returned %d, reference %d", i, returns[i], refReturns[i])
+	for i := range ref.Returns {
+		if o.Returns[i] != ref.Returns[i] {
+			return fmt.Sprintf("thread %d returned %d, reference %d", i, o.Returns[i], ref.Returns[i])
 		}
 	}
-	names := make([]string, 0, len(refSnap))
-	for n := range refSnap {
+	names := make([]string, 0, len(ref.Globals))
+	for n := range ref.Globals {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	var diffs []string
 	for _, n := range names {
-		want, got := refSnap[n], snap[n]
+		want, got := ref.Globals[n], o.Globals[n]
 		if len(got) != len(want) {
 			diffs = append(diffs, fmt.Sprintf("%s: %d cells vs %d", n, len(got), len(want)))
 			continue
@@ -306,11 +259,8 @@ func diffState(refSnap map[string][]int64, refReturns []int64, snap map[string][
 			}
 		}
 	}
-	if len(snap) != len(refSnap) {
-		diffs = append(diffs, fmt.Sprintf("global count %d != %d", len(snap), len(refSnap)))
-	}
-	if len(diffs) == 0 {
-		return ""
+	if len(o.Globals) != len(ref.Globals) {
+		diffs = append(diffs, fmt.Sprintf("global count %d != %d", len(o.Globals), len(ref.Globals)))
 	}
 	return strings.Join(diffs, "; ")
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/appgen"
 	"repro/internal/atomig"
+	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
@@ -20,7 +21,7 @@ func TestPortedProgramsMatchSCReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program seed %d: %v\nsource:\n%s", seed, err, src)
 		}
-		wantRuns := len(vm.AllSchedModes()) * len(DefaultSeeds())
+		wantRuns := len(vm.AllSchedModes()) * defaultSeeds
 		if res.Runs != wantRuns {
 			t.Fatalf("program seed %d: %d runs, want %d", seed, res.Runs, wantRuns)
 		}
@@ -91,7 +92,7 @@ func TestDetectRacesPassesOnCorrectPort(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.RaceExecutions == 0 {
+	if res.Runs == 0 {
 		t.Fatal("race check ran no executions")
 	}
 }
@@ -128,9 +129,8 @@ func TestParallelRunMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", j, err)
 		}
-		if par.Runs != seq.Runs || par.RaceExecutions != seq.RaceExecutions {
-			t.Errorf("workers=%d: runs=%d raceExecs=%d, want %d/%d",
-				j, par.Runs, par.RaceExecutions, seq.Runs, seq.RaceExecutions)
+		if par.Runs != seq.Runs {
+			t.Errorf("workers=%d: runs=%d, want %d", j, par.Runs, seq.Runs)
 		}
 		if len(par.Reference) != len(seq.Reference) {
 			t.Errorf("workers=%d: reference size %d, want %d", j, len(par.Reference), len(seq.Reference))
@@ -159,4 +159,39 @@ func TestParallelRunReportsEarliestFailure(t *testing.T) {
 		return
 	}
 	t.Skip("no seed diverges under the weak port; nothing to compare")
+}
+
+// TestStepLimitCarriesLivelockDiagnosis: a schedule that runs out of
+// steps is replayed once with the livelock watchdog, and the error
+// names the spinning thread.
+func TestStepLimitCarriesLivelockDiagnosis(t *testing.T) {
+	const spinSrc = `
+int flag;
+void waiter(void) { while (flag == 0) { } }
+`
+	_, err := Run(spinSrc, []string{"waiter"}, Options{MaxSteps: 10_000})
+	if err == nil {
+		t.Fatal("a thread spinning forever passed")
+	}
+	for _, want := range []string{"SC reference (random#1 (seed ", "status step-limit", "livelock watchdog", "@waiter"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q:\n%v", want, err)
+		}
+	}
+}
+
+// TestSweepsThePortOnce: a run sweeps the original once under SC and
+// the port once under WMM, with or without DetectRaces (a race-free
+// port needs no control sweep).
+func TestSweepsThePortOnce(t *testing.T) {
+	for _, races := range []bool{false, true} {
+		prov := obs.New()
+		res, err := Run(gapSrc, []string{"reader", "writer"}, Options{DetectRaces: races, MaxSteps: 300_000, Obs: prov})
+		if err != nil {
+			t.Fatalf("DetectRaces=%t: %v", races, err)
+		}
+		if got := prov.Counter("stress.schedules_run").Value(); got != int64(2*res.Runs) {
+			t.Errorf("DetectRaces=%t: %d schedules for a %d-schedule grid, want two sweeps", races, got, res.Runs)
+		}
+	}
 }

@@ -31,6 +31,7 @@ import (
 
 // Options configures a check.
 type Options struct {
+	// Model is the machine explored (the zero Model selects ModelSC).
 	Model   memmodel.Model
 	Entries []string
 	// MaxExecutions bounds the number of explored executions
@@ -326,6 +327,7 @@ func (d *dfs) PickNondet(max int) int { return d.pick(max) }
 // applies the option defaults and runs the frontier-split engine.
 func Check(m *ir.Module, opts Options) (res *Result, err error) {
 	defer diag.Guard("mc.Check", &err)
+	opts.Model = opts.Model.Or(memmodel.ModelSC)
 	if opts.MaxExecutions == 0 {
 		opts.MaxExecutions = 1_000_000
 	}

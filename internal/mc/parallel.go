@@ -198,6 +198,16 @@ func (e *engine) halt(reason string) {
 	e.q.close()
 }
 
+// stopAt halts the check on a finding and keeps the stopping worker's
+// unexplored remainder, as a budget-halted worker does, so Frontier
+// counts it.
+func (e *engine) stopAt(w *mcWorker, d *dfs, reason string) {
+	e.halt(reason)
+	if d.backtrack() {
+		w.tokens = append(w.tokens, fragmentToken(d))
+	}
+}
+
 // fragmentToken captures a controller's unexplored remainder.
 func fragmentToken(d *dfs) *ResumeToken {
 	return &ResumeToken{trace: append([]choice(nil), d.trace...), floor: d.floor}
@@ -306,7 +316,7 @@ func (e *engine) exploreFragment(w *mcWorker, d *dfs, newExec func() (*vm.VM, er
 		if violated != "" {
 			note(w.vios, violated, violated, d)
 			if e.opts.StopAtFirst {
-				e.halt("stopped at violation")
+				e.stopAt(w, d, "stopped at violation")
 				return true
 			}
 		}
@@ -315,7 +325,7 @@ func (e *engine) exploreFragment(w *mcWorker, d *dfs, newExec func() (*vm.VM, er
 				note(w.wits, r.Key(), "data race: "+r.Loc.String(), d)
 			}
 			if e.opts.StopAtFirst && violated == "" {
-				e.halt("stopped at race")
+				e.stopAt(w, d, "stopped at race")
 				return true
 			}
 		}

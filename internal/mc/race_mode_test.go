@@ -144,3 +144,35 @@ func TestStopAtFirstRace(t *testing.T) {
 		t.Fatalf("StopAtFirst explored %d executions, want 1", res.Executions)
 	}
 }
+
+// TestStopAtFirstCountsFrontier: a check stopped at its first finding
+// reports the branches it left unexplored, exactly as a check cut by an
+// execution budget at the same count does.
+func TestStopAtFirstCountsFrontier(t *testing.T) {
+	for _, name := range []string{"mp", "sb", "seqlock-gap"} {
+		m := compileCorpus(t, name)
+		opts := Options{
+			Model: memmodel.ModelWMM, Entries: corpus.Get(name).MCEntries,
+			DetectRaces: true, Workers: 1, TimeBudget: 10 * time.Second,
+		}
+		stopped := opts
+		stopped.StopAtFirst = true
+		sres, err := Check(m, stopped)
+		if err != nil {
+			t.Fatalf("%s: stop-at-first: %v", name, err)
+		}
+		cut := opts
+		cut.MaxExecutions = sres.Executions
+		cres, err := Check(m, cut)
+		if err != nil {
+			t.Fatalf("%s: budget cut: %v", name, err)
+		}
+		if sres.Frontier == 0 || sres.Executions != cres.Executions || sres.Frontier != cres.Frontier {
+			t.Errorf("%s: stop-at-first %d executions, frontier %d; budget cut at %d: %d executions, frontier %d",
+				name, sres.Executions, sres.Frontier, sres.Executions, cres.Executions, cres.Frontier)
+		}
+		if sres.Resume != nil {
+			t.Errorf("%s: a verdict stop returned %d resume tokens", name, len(sres.Resume))
+		}
+	}
+}

@@ -19,13 +19,16 @@ package memmodel
 
 import "fmt"
 
-// Model selects the memory-consistency model of an execution.
+// Model selects the memory-consistency model of an execution. The
+// models are numbered from 1, so the zero Model means "unset": every
+// entry point that takes a Model resolves it once, with Or, to the
+// default it documents (docs/MEMORY-MODEL.md lists them).
 type Model int
 
 // Supported models.
 const (
 	// ModelSC executes every access with sequential consistency.
-	ModelSC Model = iota
+	ModelSC Model = iota + 1
 	// ModelTSO models x86-TSO: plain stores behave as release stores,
 	// plain loads as acquire loads (store buffering remains visible,
 	// message passing is guaranteed), and read-modify-writes are full
@@ -46,6 +49,14 @@ func (m Model) String() string {
 		return "wmm"
 	}
 	return fmt.Sprintf("Model(%d)", int(m))
+}
+
+// Or returns m, or def when m is the zero (unset) Model.
+func (m Model) Or(def Model) Model {
+	if m == 0 {
+		return def
+	}
+	return m
 }
 
 // Addr is a memory cell address.

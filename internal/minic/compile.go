@@ -22,7 +22,6 @@ package minic
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/diag"
 	"repro/internal/fanout"
@@ -45,24 +44,11 @@ type Options struct {
 	Obs *obs.Provider
 }
 
-// Timing is the per-phase wall-clock breakdown of one Compile run.
-// Verify is the post-lowering IR verifier pass.
-type Timing struct {
-	Lex    time.Duration
-	Parse  time.Duration
-	Lower  time.Duration
-	Verify time.Duration
-}
-
-// Total is the summed frontend wall clock.
-func (t Timing) Total() time.Duration { return t.Lex + t.Parse + t.Lower + t.Verify }
-
-// Result is the output of Compile: the AIR module, frontend stats, and
-// the per-phase timing breakdown.
+// Result is the output of Compile: the AIR module and frontend stats.
+// The per-phase times are the frontend.* spans (Options.Obs).
 type Result struct {
 	Module *ir.Module
 	Stats  Stats
-	Timing Timing
 }
 
 // Compile parses and lowers MiniC source into an AIR module named name
@@ -84,22 +70,17 @@ func CompileOpts(name, src string, opts Options) (res *Result, err error) {
 	}
 	trk := opts.Obs.Track("frontend")
 
-	start := time.Now()
 	sp := trk.Begin("frontend.lex")
 	toks, lerr := Tokenize(src)
 	sp.End()
-	var timing Timing
-	timing.Lex = time.Since(start)
 	if lerr != nil {
 		return nil, fmt.Errorf("minic: %w", lerr)
 	}
 	opts.Obs.Counter("frontend.tokens_scanned").Add(int64(len(toks)))
 
-	start = time.Now()
 	sp = trk.Begin("frontend.parse")
 	file, perr := parseTokens(toks, workers, opts.Obs)
 	sp.End()
-	timing.Parse = time.Since(start)
 	if perr != nil {
 		return nil, fmt.Errorf("minic: %w", perr)
 	}
@@ -113,20 +94,16 @@ func CompileOpts(name, src string, opts Options) (res *Result, err error) {
 		obs:     opts.Obs,
 	}
 	c.stats.SourceLines = countSourceLines(src)
-	start = time.Now()
 	sp = trk.Begin("frontend.lower")
 	cerr := c.compileFile(file)
 	sp.End()
-	timing.Lower = time.Since(start)
 	if cerr != nil {
 		return nil, fmt.Errorf("minic: %w", cerr)
 	}
 
-	start = time.Now()
 	sp = trk.Begin("frontend.verify")
 	verr := ir.Verify(c.mod)
 	sp.End()
-	timing.Verify = time.Since(start)
 	if verr != nil {
 		return nil, fmt.Errorf("minic: lowering produced invalid IR: %w", verr)
 	}
@@ -135,7 +112,7 @@ func CompileOpts(name, src string, opts Options) (res *Result, err error) {
 	c.stats.Instrs = c.mod.NumInstrs()
 	opts.Obs.Counter("frontend.funcs_lowered").Add(int64(c.stats.Functions))
 	opts.Obs.Counter("frontend.lines_compiled").Add(int64(c.stats.SourceLines))
-	return &Result{Module: c.mod, Stats: c.stats, Timing: timing}, nil
+	return &Result{Module: c.mod, Stats: c.stats}, nil
 }
 
 // funcOut is one function's lowering result slot: per-function stats

@@ -139,11 +139,12 @@ func resolveMaxReports(n int) int {
 	return n
 }
 
-// New returns a detector for executions under the given model.
+// New returns a detector for executions under the given model (the
+// zero Model means ModelSC).
 func New(model memmodel.Model, opts Options) *Detector {
 	opts.MaxReports = resolveMaxReports(opts.MaxReports)
 	d := &Detector{
-		model: model, opts: opts, seen: make(map[string]*Report),
+		model: model.Or(memmodel.ModelSC), opts: opts, seen: make(map[string]*Report),
 		cAccesses: opts.Obs.Counter("race.accesses_observed"),
 		cReports:  opts.Obs.Counter("race.reports_recorded"),
 	}

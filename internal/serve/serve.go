@@ -58,13 +58,15 @@ type Options struct {
 	// event tail when the watchdog fires, a panic is contained, or load
 	// is shed (overload dumps are throttled to one per second).
 	CrashPath string
-	// TroubleWindow is how long after a shed request or missed deadline
-	// /healthz keeps reporting degraded (0 = 10s).
-	TroubleWindow time.Duration
-	// FlightRecords bounds the flight recorder's in-memory event tail
-	// (0 = 1024).
-	FlightRecords int
 }
+
+const (
+	// troubleWindow is how long after a shed request or missed deadline
+	// /healthz keeps reporting degraded.
+	troubleWindow = 10 * time.Second
+	// flightRecords bounds the flight recorder's in-memory event tail.
+	flightRecords = 1024
+)
 
 // Server is one daemon instance. It may serve several connections
 // (stdio and a Unix socket) concurrently; sessions are server-global.
@@ -108,7 +110,7 @@ type Server struct {
 	reqSeq atomic.Int64
 
 	// troubleNS is the wall clock (UnixNano) of the last shed request or
-	// missed deadline; health() reports degraded within TroubleWindow.
+	// missed deadline; health() reports degraded within troubleWindow.
 	troubleNS atomic.Int64
 
 	// dumpMu serializes crash-file writes; lastDumpNS throttles
@@ -155,12 +157,6 @@ func New(opts Options) *Server {
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
-	}
-	if opts.TroubleWindow <= 0 {
-		opts.TroubleWindow = 10 * time.Second
-	}
-	if opts.FlightRecords <= 0 {
-		opts.FlightRecords = 1024
 	}
 	if opts.Obs == nil {
 		// stats/health must work even when no exporter is wired: back
@@ -213,7 +209,7 @@ func New(opts Options) *Server {
 	// event log rides the provider's logger when one is attached
 	// (-log), else a recorder-only logger so the crash tail exists
 	// regardless of flags. Completed trace spans mirror in too.
-	s.rec = obs.NewRecorder(opts.FlightRecords)
+	s.rec = obs.NewRecorder(flightRecords)
 	s.lg = p.Log()
 	if s.lg == nil {
 		s.lg = obs.NewLogger(nil)
@@ -232,13 +228,13 @@ func (s *Server) rid() string {
 }
 
 // markTrouble records a degraded-health signal (shed load or a missed
-// deadline); /healthz reports degraded for TroubleWindow afterwards.
+// deadline); /healthz reports degraded for troubleWindow afterwards.
 func (s *Server) markTrouble() {
 	s.troubleNS.Store(time.Now().UnixNano())
 }
 
 // health is the /healthz verdict: draining once shutdown began,
-// degraded while the queue is full or within TroubleWindow of shed
+// degraded while the queue is full or within troubleWindow of shed
 // load / a missed deadline, ok otherwise.
 func (s *Server) health() obs.Health {
 	if s.draining.Load() {
@@ -247,7 +243,7 @@ func (s *Server) health() obs.Health {
 	if int(s.live.Load()) >= s.opts.QueueDepth {
 		return obs.Health{Status: "degraded", Reason: "admission queue full"}
 	}
-	if t := s.troubleNS.Load(); t != 0 && time.Since(time.Unix(0, t)) < s.opts.TroubleWindow {
+	if t := s.troubleNS.Load(); t != 0 && time.Since(time.Unix(0, t)) < troubleWindow {
 		return obs.Health{Status: "degraded", Reason: "recent overload or deadline miss"}
 	}
 	return obs.Health{Status: "ok"}

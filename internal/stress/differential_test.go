@@ -16,8 +16,9 @@ import (
 	"repro/internal/vm"
 )
 
-// sweepOutcome is everything a race sweep's callers read: the grid
-// size, the failed cells, and the deduplicated reports.
+// sweepOutcome is everything a sweep's callers read: the grid size,
+// the failed cells, the deduplicated reports, and the distinct
+// schedule outcomes.
 type sweepOutcome struct {
 	schedules   int
 	steps       int64
@@ -26,25 +27,32 @@ type sweepOutcome struct {
 	counts      map[string]int
 	reports     string // race.FormatReports of the key-sorted reports
 	explain     string // atomig.ExplainRaces rendering
+	outcomes    []Outcome
 }
 
-// referenceSweep is the slow path Sweep replaced as the race sweep of
-// -explain-races, serve and difftest: a fresh vm.Run per grid cell,
-// one detector shared across the whole grid, cells in grid order.
+// referenceSweep is the slow path Sweep replaced as the sweep of
+// -explain-races, serve and difftest: a fresh VM per grid cell, one
+// detector shared across the whole grid, cells in grid order, and each
+// cell's final state compared against every outcome seen before it.
 func referenceSweep(m *ir.Module, model memmodel.Model, entries []string, seeds int) (*sweepOutcome, error) {
 	det := race.New(model, race.Options{})
 	out := &sweepOutcome{}
-	for _, mode := range vm.AllSchedModes() {
+	for mi, mode := range vm.AllSchedModes() {
 		for s := 1; s <= seeds; s++ {
 			det.BeginExec()
-			res, err := vm.Run(m, vm.Options{
+			seed := vm.GridSeed(1, mode, int64(s))
+			v, err := vm.New(m, vm.Options{
 				Model:      model,
 				Entries:    entries,
-				Controller: vm.NewScheduler(mode, vm.GridSeed(1, mode, int64(s))),
+				Controller: vm.NewScheduler(mode, seed),
 				MaxSteps:   vm.DefaultMaxSteps,
 				Costs:      vm.DefaultCosts(),
 				Hook:       det,
 			})
+			if err != nil {
+				return nil, fmt.Errorf("%s#%d: %w", mode, s, err)
+			}
+			res, err := v.Run()
 			if err != nil {
 				return nil, fmt.Errorf("%s#%d: %w", mode, s, err)
 			}
@@ -57,15 +65,36 @@ func referenceSweep(m *ir.Module, model memmodel.Model, entries []string, seeds 
 			case vm.StatusStepLimit:
 				out.stepLimited++
 			}
+			o := Outcome{Status: res.Status, Msg: res.FailMsg, Returns: res.Returns}
+			if res.Status == vm.StatusDone {
+				o.Globals = v.Snapshot()
+			}
+			out.addOutcome(o, Schedule{Mode: mode, Ordinal: s, Seed: seed, Cell: mi*seeds + s - 1})
 		}
 	}
 	out.summarize(m, det.Reports())
 	return out, nil
 }
 
+// addOutcome counts o against an equal earlier outcome, or records it
+// as new with sc as its first schedule.
+func (o *sweepOutcome) addOutcome(oc Outcome, sc Schedule) {
+	for i := range o.outcomes {
+		prev := &o.outcomes[i]
+		if prev.Status == oc.Status && prev.Msg == oc.Msg &&
+			reflect.DeepEqual(prev.Returns, oc.Returns) && reflect.DeepEqual(prev.Globals, oc.Globals) {
+			prev.Count++
+			return
+		}
+	}
+	oc.First, oc.Count = sc, 1
+	o.outcomes = append(o.outcomes, oc)
+}
+
 // stressOutcome reads the same fields off a Sweep result.
 func stressOutcome(m *ir.Module, res *Result) *sweepOutcome {
-	out := &sweepOutcome{schedules: res.Schedules, steps: res.Steps, stepLimited: res.StepLimited}
+	out := &sweepOutcome{schedules: res.Schedules, steps: res.Steps, stepLimited: res.StepLimited,
+		outcomes: res.Outcomes}
 	for _, f := range res.Findings {
 		if f.Kind == FindingViolation {
 			out.violations = append(out.violations,
@@ -91,15 +120,16 @@ func (o *sweepOutcome) summarize(m *ir.Module, reports []*race.Report) {
 // TestSweepMatchesReferenceSweep is the differential test of the pooled
 // fast path against the per-cell fresh-VM sweep it replaced: over every
 // corpus program with a model-checking harness, unported and ported,
-// under WMM and TSO, at 1 and 8 workers, the two must agree on the
+// under WMM, TSO and SC, at 1 and 8 workers, the two must agree on the
 // schedule count, total steps, the violating cells, every race key and
-// its occurrence count, the rendered reports byte for byte, and the
-// -explain-races advice. The 8-worker sweeps must also leave no
-// goroutine behind.
+// its occurrence count, the rendered reports byte for byte, the
+// -explain-races advice, and the distinct outcomes (status, message,
+// returns and final globals) with each one's first schedule and count.
+// The 8-worker sweeps must also leave no goroutine behind.
 func TestSweepMatchesReferenceSweep(t *testing.T) {
 	leakcheck.Check(t)
 	const seeds = 4
-	var configs, racy, violating int
+	var configs, racy, violating, divergent int
 	for _, p := range corpus.All() {
 		if len(p.MCEntries) == 0 {
 			continue
@@ -116,7 +146,7 @@ func TestSweepMatchesReferenceSweep(t *testing.T) {
 					t.Fatalf("%s: port: %v", p.Name, err)
 				}
 			}
-			for _, model := range []memmodel.Model{memmodel.ModelWMM, memmodel.ModelTSO} {
+			for _, model := range []memmodel.Model{memmodel.ModelWMM, memmodel.ModelTSO, memmodel.ModelSC} {
 				name := fmt.Sprintf("%s/%s/%s", p.Name, variant, model)
 				want, err := referenceSweep(m, model, p.MCEntries, seeds)
 				if err != nil {
@@ -129,6 +159,9 @@ func TestSweepMatchesReferenceSweep(t *testing.T) {
 				if len(want.violations) > 0 {
 					violating++
 				}
+				if len(want.outcomes) > 1 {
+					divergent++
+				}
 				for _, workers := range []int{1, 8} {
 					res, err := Sweep(m, Options{
 						Model:    model,
@@ -138,6 +171,7 @@ func TestSweepMatchesReferenceSweep(t *testing.T) {
 						Sample:   1,
 						MaxSteps: vm.DefaultMaxSteps,
 						Workers:  workers,
+						Outcomes: true,
 					})
 					if err != nil {
 						t.Fatalf("%s j=%d: sweep: %v", name, workers, err)
@@ -152,10 +186,11 @@ func TestSweepMatchesReferenceSweep(t *testing.T) {
 		}
 	}
 	// The comparison is only as strong as the findings it compares.
-	if racy == 0 || violating == 0 || racy == configs {
-		t.Fatalf("degenerate corpus: %d configurations, %d racy, %d violating", configs, racy, violating)
+	if racy == 0 || violating == 0 || racy == configs || divergent == 0 {
+		t.Fatalf("degenerate corpus: %d configurations, %d racy, %d violating, %d with several outcomes",
+			configs, racy, violating, divergent)
 	}
-	t.Logf("%d configurations: %d racy, %d violating", configs, racy, violating)
+	t.Logf("%d configurations: %d racy, %d violating, %d with several outcomes", configs, racy, violating, divergent)
 }
 
 // outcomeDiff names the fields on which two outcomes differ.
@@ -173,5 +208,6 @@ func outcomeDiff(got, want *sweepOutcome) string {
 	line("counts", got.counts, want.counts)
 	line("reports", got.reports, want.reports)
 	line("explain", got.explain, want.explain)
+	line("outcomes", got.outcomes, want.outcomes)
 	return b.String()
 }

@@ -123,9 +123,7 @@ func Minimize(m *ir.Module, opts MinimizeOptions) (res *MinimizeResult, err erro
 	if !opts.Target.Loc.Shared() {
 		return nil, fmt.Errorf("stress: target race location %s is not a shared location", opts.Target.Loc)
 	}
-	if opts.Model == 0 {
-		opts.Model = memmodel.ModelWMM
-	}
+	opts.Model = opts.Model.Or(memmodel.ModelWMM)
 	if opts.Seeds == 0 {
 		opts.Seeds = 16
 	}

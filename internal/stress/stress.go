@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -47,8 +48,8 @@ import (
 
 // Options configures a stress sweep.
 type Options struct {
-	// Model is the memory model executions run under (default ModelWMM:
-	// stress hunts the weak behaviors TSO code misses).
+	// Model is the memory model executions run under (the zero Model
+	// selects ModelWMM: stress hunts the weak behaviors TSO code misses).
 	Model memmodel.Model
 	// Entries are the functions started as initial threads; required.
 	Entries []string
@@ -73,12 +74,10 @@ type Options struct {
 	Workers int
 	// MaxReports caps the distinct races retained (0 = 32).
 	MaxReports int
-	// StopWhen, when non-nil, stops the sweep early once a finding
-	// satisfies the predicate (the minimizer's reproduction oracle stops
-	// on its target race). Whether the grid contains a satisfying
-	// finding is deterministic; the Schedules count of a stopped sweep
-	// is not (in-flight workers finish their cells).
-	StopWhen func(Finding) bool
+	// Outcomes records every schedule's outcome (Result.Outcomes). It
+	// is opt-in: snapshotting every global after each schedule costs as
+	// much as a large module's schedule itself.
+	Outcomes bool
 	// Context, when non-nil, cancels the sweep between schedules.
 	Context context.Context
 	// Obs, when non-nil, records the stress.* counters and spans
@@ -143,6 +142,23 @@ func (f Finding) String() string {
 	return fmt.Sprintf("race under %s: %s", f.Schedule, f.Report.Key())
 }
 
+// Outcome is one distinct way schedules of a sweep ended.
+type Outcome struct {
+	// Status is how the schedule ended, and Msg its failure message
+	// (empty for a completed schedule).
+	Status vm.Status
+	Msg    string
+	// Returns holds the entry threads' return values, in Entries order.
+	Returns []int64
+	// Globals maps every global to its final cells; nil unless Status
+	// is vm.StatusDone.
+	Globals map[string][]int64
+	// First is the earliest grid schedule that ended this way, and
+	// Count the number of schedules that did.
+	First Schedule
+	Count int
+}
+
 // Result reports a stress sweep.
 type Result struct {
 	// Schedules is the number of schedules executed.
@@ -163,8 +179,9 @@ type Result struct {
 	Forwarded, Skipped int64
 	// VMResets and VMAllocs count pooled-VM recycling vs fresh builds.
 	VMResets, VMAllocs int64
-	// Stopped reports an early exit (StopWhen hit or context canceled).
-	Stopped bool
+	// Outcomes lists the distinct schedule outcomes in grid order of
+	// their first schedule (Options.Outcomes; nil otherwise).
+	Outcomes []Outcome
 	// Elapsed is the sweep wall clock.
 	Elapsed time.Duration
 }
@@ -185,9 +202,7 @@ func (r *Result) Violations() []string {
 
 // resolve applies the option defaults.
 func (o *Options) resolve() {
-	if o.Model == 0 {
-		o.Model = memmodel.ModelWMM
-	}
+	o.Model = o.Model.Or(memmodel.ModelWMM)
 	if o.Modes == nil {
 		o.Modes = vm.AllSchedModes()
 	}
@@ -219,6 +234,10 @@ type cell struct {
 	stepLimit  bool
 	violation  string // empty when the execution passed
 	newReports []*race.Report
+	// outcome is the schedule's outcome and outKey its canonical key
+	// (Options.Outcomes only).
+	outcome *Outcome
+	outKey  string
 }
 
 // sweeper is one worker's private state, built on its first cell: a
@@ -229,6 +248,22 @@ type sweeper struct {
 	smp *sampler
 	ctl *reseed
 	v   *vm.VM
+}
+
+// outcomeOf records how the schedule v just ran ended, with its
+// canonical key. It must run before v's next Reset, which clears the
+// final memory.
+func outcomeOf(m *ir.Module, v *vm.VM, res *vm.Result) (*Outcome, string) {
+	o := &Outcome{Status: res.Status, Msg: res.FailMsg, Returns: res.Returns}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d|%q|%v", o.Status, o.Msg, o.Returns)
+	if res.Status == vm.StatusDone {
+		o.Globals = v.Snapshot()
+		for _, g := range m.Globals {
+			fmt.Fprintf(&b, "|%v", o.Globals[g.GName])
+		}
+	}
+	return o, b.String()
 }
 
 // Sweep runs the schedule grid over the module's entry threads.
@@ -259,18 +294,11 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 	defer sp.End()
 
 	out := &Result{}
-	// stop is the lowest grid cell whose finding satisfied StopWhen (or
-	// -1 on context cancel); cells past it are skipped.
-	var stop atomic.Int64
-	stop.Store(int64(len(cells)))
 	var resets, allocs atomic.Int64
 	ws := make([]*sweeper, workers)
 
 	err = fanout.Each(workers, len(cells), func(w, i int) error {
 		if opts.Context != nil && opts.Context.Err() != nil {
-			stop.Store(-1)
-		}
-		if int64(i) > stop.Load() {
 			return nil
 		}
 		sw := ws[w]
@@ -320,14 +348,8 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 			c.stepLimit = true
 		}
 		c.newReports = append([]*race.Report(nil), sw.det.ExecNewReports()...)
-		if opts.StopWhen != nil && cellStops(opts, sc, c) {
-			// Lower the stop watermark to this cell (keep the minimum).
-			for {
-				cur := stop.Load()
-				if cur <= int64(i) || stop.CompareAndSwap(cur, int64(i)) {
-					break
-				}
-			}
+		if opts.Outcomes {
+			c.outcome, c.outKey = outcomeOf(m, sw.v, res)
 		}
 		return nil
 	})
@@ -335,16 +357,17 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 		return nil, err
 	}
 
-	// Merge: distinct races by canonical key, findings in grid order
-	// with earliest-cell attribution. The earliest grid cell exposing a
-	// race always records it (no earlier cell of its worker could have
-	// deduplicated it away) and its recorded report depends only on that
-	// cell's deterministic execution, so taking the first recording
-	// cell's report as the representative is worker-count-invariant —
-	// unlike MergeReports' first-list-wins choice, whose clock vectors
-	// would leak the grid partitioning. Occurrence counts still sum
-	// across every worker's detector: the total is per-cell work, not
-	// per-worker work.
+	// Merge: distinct races by canonical key, findings and outcomes in
+	// grid order with earliest-cell attribution. The earliest grid cell
+	// exposing a race always records it (no earlier cell of its worker
+	// could have deduplicated it away) and its recorded report depends
+	// only on that cell's deterministic execution, so taking the first
+	// recording cell's report as the representative is
+	// worker-count-invariant — unlike MergeReports' first-list-wins
+	// choice, whose clock vectors would leak the grid partitioning.
+	// Occurrence counts still sum across every worker's detector: the
+	// total is per-cell work, not per-worker work. Outcomes are keyed the
+	// same way, so each is credited to the lowest cell that ended so.
 	counts := make(map[string]int)
 	for _, sw := range ws {
 		if sw == nil {
@@ -356,6 +379,7 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 	}
 	reps := make(map[string]*race.Report, len(counts))
 	var mergedList []*race.Report
+	outcomeAt := make(map[string]int)
 	for i := range cells {
 		c := &cells[i]
 		if !c.ran {
@@ -384,6 +408,16 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 				Kind: FindingRace, Schedule: sc, Report: rep,
 			})
 		}
+		if c.outcome != nil {
+			if j, ok := outcomeAt[c.outKey]; ok {
+				out.Outcomes[j].Count++
+			} else {
+				o := *c.outcome
+				o.First, o.Count = sc, 1
+				outcomeAt[c.outKey] = len(out.Outcomes)
+				out.Outcomes = append(out.Outcomes, o)
+			}
+		}
 		out.Steps += c.steps
 	}
 	sorted := append([]*race.Report(nil), mergedList...)
@@ -395,7 +429,6 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 	merged.Adopt(sorted)
 	out.Detector = merged
 	out.Schedules = countRan(cells)
-	out.Stopped = stop.Load() < int64(len(cells))
 	out.VMResets, out.VMAllocs = resets.Load(), allocs.Load()
 	// Each worker's sampler accumulated its tallies locally; fold them in.
 	for _, sw := range ws {
@@ -440,20 +473,6 @@ func scheduleOf(opts Options, i int) Schedule {
 		Seed:    vm.GridSeed(opts.BaseSeed, mode, int64(ordinal)),
 		Cell:    i,
 	}
-}
-
-// cellStops reports whether any of the cell's findings satisfies the
-// sweep's StopWhen predicate.
-func cellStops(opts Options, sc Schedule, c *cell) bool {
-	if c.violation != "" && opts.StopWhen(Finding{Kind: FindingViolation, Schedule: sc, Msg: c.violation}) {
-		return true
-	}
-	for _, r := range c.newReports {
-		if opts.StopWhen(Finding{Kind: FindingRace, Schedule: sc, Report: r}) {
-			return true
-		}
-	}
-	return false
 }
 
 // countRan counts executed cells.

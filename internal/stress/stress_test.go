@@ -245,32 +245,6 @@ func TestReplayReproducesFinding(t *testing.T) {
 	})
 }
 
-// TestSweepStopWhen: the early-exit predicate halts the sweep without
-// running the whole grid, and the satisfying finding is present.
-func TestSweepStopWhen(t *testing.T) {
-	m, entries := portedHarness(t, harnessSpec())
-	res, err := Sweep(m, Options{
-		Entries: entries, Seeds: 200, Workers: 2,
-		StopWhen: func(f Finding) bool { return f.Kind == FindingRace && f.Report.Loc == gapLoc },
-	})
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	if !res.Stopped {
-		t.Fatal("sweep did not stop early")
-	}
-	total := len(vm.AllSchedModes()) * 200
-	if res.Schedules >= total {
-		t.Fatalf("stop-when ran the whole %d-cell grid", total)
-	}
-	for _, f := range res.Findings {
-		if f.Kind == FindingRace && f.Report.Loc == gapLoc {
-			return
-		}
-	}
-	t.Fatal("stopped sweep lost the satisfying finding")
-}
-
 // TestPooledVMReuse: each worker builds one VM and recycles it through
 // Reset for the rest of its grid share.
 func TestPooledVMReuse(t *testing.T) {

@@ -178,6 +178,7 @@ func New(m *ir.Module, opts Options) (v *VM, err error) {
 	if len(opts.Entries) == 0 {
 		return nil, fmt.Errorf("vm: no entry functions")
 	}
+	opts.Model = opts.Model.Or(memmodel.ModelSC)
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = DefaultMaxSteps
 	}

@@ -135,6 +135,7 @@ const DefaultMaxSteps = 20_000_000
 
 // Options configures an execution.
 type Options struct {
+	// Model is the memory model (the zero Model selects ModelSC).
 	Model memmodel.Model
 	// Entries are the functions started as the initial threads.
 	Entries []string

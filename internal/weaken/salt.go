@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/memmodel"
 )
 
 // Per-candidate budget defaults, applied by Optimize and mirrored by
@@ -38,8 +40,8 @@ func (o Options) Salt() string {
 	if budget == 0 {
 		budget = defaultTimeBudget
 	}
-	s := fmt.Sprintf("weaken/v1|model=%d|arch=%s|races=%t|execs=%d|steps=%d|budget=%s|entries=%s",
-		o.Model, arch, o.DetectRaces, execs, o.MaxStepsPerExec, budget,
+	s := fmt.Sprintf("weaken/v1|model=%s|arch=%s|races=%t|execs=%d|steps=%d|budget=%s|entries=%s",
+		o.Model.Or(memmodel.ModelWMM), arch, o.DetectRaces, execs, o.MaxStepsPerExec, budget,
 		strings.Join(o.Entries, ","))
 	// The oracle segment appears only for non-default oracles, so every
 	// fingerprint minted before the seam exists is still valid.

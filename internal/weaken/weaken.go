@@ -283,6 +283,7 @@ func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, erro
 	if len(opts.Entries) == 0 {
 		return nil, fmt.Errorf("weaken: no entry functions (the checker needs a harness)")
 	}
+	opts.Model = opts.Model.Or(memmodel.ModelWMM)
 	if opts.MaxExecs == 0 {
 		opts.MaxExecs = defaultMaxExecs
 	}
