@@ -212,6 +212,7 @@ fuzz-smoke:
 	$(GO) test -run none -fuzz FuzzParseChunked -fuzztime $(FUZZTIME) ./internal/minic
 	$(GO) test -run none -fuzz FuzzParseRoundTrip -fuzztime $(FUZZTIME) ./internal/ir
 	$(GO) test -run none -fuzz FuzzAliasExplore -fuzztime $(FUZZTIME) ./internal/alias
+	$(GO) test -run none -fuzz FuzzLocality -fuzztime $(FUZZTIME) ./internal/analysis
 	$(GO) test -run none -fuzz FuzzMinimize -fuzztime $(FUZZTIME) ./internal/stress
 
 clean:

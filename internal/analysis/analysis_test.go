@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/alias"
@@ -115,7 +116,11 @@ int f(int *p) {
 }
 
 func TestLocalityEscape(t *testing.T) {
-	m := compile(t, `
+	cases := []struct {
+		src, fn string
+		escapes []bool // per alloca, in layout order
+	}{
+		{`
 int *shared;
 void publish(void) {
   int l = 1;
@@ -123,23 +128,23 @@ void publish(void) {
   int kept = 2;
   kept = kept + 1; // kept does not escape
 }
-`)
-	f := m.Func("publish")
-	loc := AnalyzeLocality(f)
-	var allocas []*ir.Instr
-	f.Instrs(func(in *ir.Instr) {
-		if in.Op == ir.OpAlloca {
-			allocas = append(allocas, in)
+`, "publish", []bool{true, false}},
+		// An xchg writes its operand like a store: &flag lands in box,
+		// whose address has escaped, so flag escapes too.
+		{xchgEscapeSrc, "waiter", []bool{true, true}},
+	}
+	for _, c := range cases {
+		f := compile(t, c.src).Func(c.fn)
+		loc := AnalyzeLocality(f)
+		var escapes []bool
+		f.Instrs(func(in *ir.Instr) {
+			if in.Op == ir.OpAlloca {
+				escapes = append(escapes, loc.Escaped(in))
+			}
+		})
+		if fmt.Sprint(escapes) != fmt.Sprint(c.escapes) {
+			t.Errorf("@%s: alloca escapes = %v, want %v", c.fn, escapes, c.escapes)
 		}
-	})
-	if len(allocas) != 2 {
-		t.Fatalf("allocas = %d", len(allocas))
-	}
-	if !loc.Escaped(allocas[0]) {
-		t.Error("alloca of l should escape (address stored to global)")
-	}
-	if loc.Escaped(allocas[1]) {
-		t.Error("alloca of kept must not escape")
 	}
 }
 

@@ -32,29 +32,29 @@ var waitHintCallees = map[string]bool{
 // The returned SpinloopInfo carries the non-local reads to be treated
 // as spin controls; polling loops are never classified optimistic.
 func DetectPollingLoops(f *ir.Func) []*SpinloopInfo {
-	dom := Dominators(f)
-	loops := FindLoops(f, dom)
-	if len(loops) == 0 {
-		return nil
-	}
-	locality := AnalyzeLocality(f)
-	inf := NewInfluence(f, locality)
-	strict := make(map[*ir.Block]bool)
-	for _, info := range DetectSpinloops(f) {
-		strict[info.Loop.Header] = true
+	d := NewDetector(f)
+	return d.PollingLoops(d.Spinloops())
+}
+
+// PollingLoops is DetectPollingLoops on the detector's function, given
+// its strict spinloops.
+func (d *Detector) PollingLoops(strict []*SpinloopInfo) []*SpinloopInfo {
+	isStrict := make(map[*ir.Block]bool)
+	for _, info := range strict {
+		isStrict[info.Loop.Header] = true
 	}
 	var out []*SpinloopInfo
-	for _, loop := range loops {
-		if strict[loop.Header] || len(loop.ExitBranches) == 0 {
+	for _, loop := range d.findLoops() {
+		if isStrict[loop.Header] || len(loop.ExitBranches) == 0 {
 			continue
 		}
 		if !loopHasWaitHint(loop) {
 			continue
 		}
-		info := &SpinloopInfo{Fn: f, Loop: loop}
+		info := &SpinloopInfo{Fn: d.f, Loop: loop}
 		seen := map[*ir.Instr]bool{}
 		for _, br := range loop.ExitBranches {
-			s := inf.SliceOf(br.Args[0])
+			s := d.influence().SliceOf(br.Args[0])
 			for rd := range s.NonLocalReads {
 				if !seen[rd] {
 					seen[rd] = true
@@ -85,19 +85,12 @@ func loopHasWaitHint(loop *Loop) bool {
 // compiler-barrier markers: for each call to @compiler_barrier, every
 // non-local access in the same basic block. These become additional
 // seeds for alias exploration.
-func CompilerBarrierSeeds(f *ir.Func) []*ir.Instr {
-	hasBarrier := false
-	f.Instrs(func(in *ir.Instr) {
-		if in.Op == ir.OpCall && in.Callee == "compiler_barrier" {
-			hasBarrier = true
-		}
-	})
-	if !hasBarrier {
-		return nil
-	}
-	locality := AnalyzeLocality(f)
+func CompilerBarrierSeeds(f *ir.Func) []*ir.Instr { return NewDetector(f).BarrierSeeds() }
+
+// BarrierSeeds is CompilerBarrierSeeds on the detector's function.
+func (d *Detector) BarrierSeeds() []*ir.Instr {
 	var seeds []*ir.Instr
-	for _, b := range f.Blocks {
+	for _, b := range d.f.Blocks {
 		barrierHere := false
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpCall && in.Callee == "compiler_barrier" {
@@ -108,6 +101,7 @@ func CompilerBarrierSeeds(f *ir.Func) []*ir.Instr {
 		if !barrierHere {
 			continue
 		}
+		locality := d.influence().Locality()
 		for _, in := range b.Instrs {
 			if in.IsMemAccess() && locality.NonLocal(in.Args[0]) {
 				seeds = append(seeds, in)

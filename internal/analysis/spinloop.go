@@ -27,22 +27,46 @@ type SpinloopInfo struct {
 	OptimisticReads []*ir.Instr
 }
 
+// Detector runs the spinloop detectors on one function, building the
+// analyses they share on first use and only once: dominators and loops,
+// then locality and influence. A loop-free function therefore builds no
+// locality unless BarrierSeeds finds a compiler barrier.
+type Detector struct {
+	f      *ir.Func
+	loops  []*Loop
+	looped bool
+	inf    *Influence
+}
+
+// NewDetector returns a detector for f.
+func NewDetector(f *ir.Func) *Detector { return &Detector{f: f} }
+
+func (d *Detector) findLoops() []*Loop {
+	if !d.looped {
+		d.loops, d.looped = FindLoops(d.f, Dominators(d.f)), true
+	}
+	return d.loops
+}
+
+func (d *Detector) influence() *Influence {
+	if d.inf == nil {
+		d.inf = NewInfluence(d.f, AnalyzeLocality(d.f))
+	}
+	return d.inf
+}
+
 // DetectSpinloops finds all spinloops in f. A loop qualifies when
 // (1) every exit condition has a non-local dependency, and
 // (2) every store in the loop whose value has no non-local dependency
 // either writes a constant (and so cannot change the exit outcome) or
 // does not feed any exit condition.
-func DetectSpinloops(f *ir.Func) []*SpinloopInfo {
-	dom := Dominators(f)
-	loops := FindLoops(f, dom)
-	if len(loops) == 0 {
-		return nil
-	}
-	locality := AnalyzeLocality(f)
-	inf := NewInfluence(f, locality)
+func DetectSpinloops(f *ir.Func) []*SpinloopInfo { return NewDetector(f).Spinloops() }
+
+// Spinloops is DetectSpinloops on the detector's function.
+func (d *Detector) Spinloops() []*SpinloopInfo {
 	var out []*SpinloopInfo
-	for _, loop := range loops {
-		if info := classifyLoop(f, loop, inf); info != nil {
+	for _, loop := range d.findLoops() {
+		if info := classifyLoop(d.f, loop, d.influence()); info != nil {
 			out = append(out, info)
 		}
 	}

@@ -322,6 +322,38 @@ int f(void) {
 	}
 }
 
+// TestSpinOnEscapedLocal: a loop spinning on a local whose address is
+// written into escaped local memory is a spinloop, whether a store or
+// an xchg writes the address, and its flag read becomes seq_cst.
+func TestSpinOnEscapedLocal(t *testing.T) {
+	for _, publish := range []string{"box = &flag;", "__xchg(&box, &flag);"} {
+		m := compile(t, `
+int **gp;
+void waiter(void) {
+  int *box;
+  int flag = 0;
+  gp = &box;
+  `+publish+`
+  while (flag == 0) { }
+}
+`)
+		rep := port(t, m, DefaultOptions())
+		if rep.Spinloops != 1 {
+			t.Errorf("%s: spinloops = %d, want 1", publish, rep.Spinloops)
+			continue
+		}
+		var allocas []*ir.Instr
+		m.Func("waiter").Instrs(func(in *ir.Instr) {
+			if in.Op == ir.OpAlloca {
+				allocas = append(allocas, in)
+			}
+			if in.Op == ir.OpLoad && len(allocas) == 2 && in.Args[0] == allocas[1] && in.Ord != ir.SeqCst {
+				t.Errorf("%s: flag read %q is not seq_cst", publish, in)
+			}
+		})
+	}
+}
+
 // TestPortClone leaves the original untouched.
 func TestPortClone(t *testing.T) {
 	m := compile(t, `

@@ -422,15 +422,16 @@ func detectFunc(f *ir.Func, opts Options, key string) (d funcDetect, accs []alia
 	}
 
 	d.expl = transform.UpgradeExplicitAnnotationsFunc(f)
+	det := analysis.NewDetector(f)
 	if opts.Level >= LevelSpin {
-		d.spin = analysis.DetectSpinloops(f)
+		d.spin = det.Spinloops()
 		if opts.DetectPolling {
-			d.polling = analysis.DetectPollingLoops(f)
+			d.polling = det.PollingLoops(d.spin)
 		}
 	}
 	accs = alias.PrepareFunc(f)
 	if opts.BarrierSeeds {
-		d.barrier = analysis.CompilerBarrierSeeds(f)
+		d.barrier = det.BarrierSeeds()
 	}
 	f.Instrs(func(in *ir.Instr) {
 		if in.IsMemAccess() && in.Ord.Atomic() {

@@ -48,8 +48,14 @@ func insertOptFences(f *ir.Func, loops []optLoopCtl, optLocs map[alias.Loc]bool,
 	fenced := make(map[*ir.Instr]bool)
 	isSCFence := func(in *ir.Instr) bool { return in.Op == ir.OpFence && in.Ord == ir.SeqCst }
 	for _, b := range f.Blocks {
+		// Only a read inside one of f's optimistic loops can need a fence
+		// before it, so only such a read's location is looked up.
+		inLoop := false
+		for _, ol := range loops {
+			inLoop = inLoop || ol.loop.Blocks[b]
+		}
 		for i, in := range b.Instrs {
-			if in.Reads() && !fenced[in] {
+			if inLoop && in.Reads() && !fenced[in] {
 				loc := am.Canon(am.Loc(in))
 				for _, ol := range loops {
 					if !ol.loop.Blocks[b] || !ol.ctl[loc] {
