@@ -130,14 +130,16 @@ serve-smoke:
 
 # Checker-in-the-loop weakening sweep (docs/WEAKENING.md): port + weaken
 # the CK-style corpus and two generated appgen modules, appending cost
-# reduction and accepted-weakening counts to BENCH_weaken.json.
+# reduction, accepted-weakening counts and the checker calls and stress
+# screens behind them to BENCH_weaken.json.
 bench-weaken:
 	$(GO) run ./cmd/atomig-bench -exp weaken -json BENCH_weaken.json
 
 # Schedule-fuzzing stress sweep (docs/STRESS.md): throughput over a
 # generated 100k+-line planted-defect module, detection rate vs
-# detector sampling fraction, and the stress-vs-exhaustive weakening
-# oracle comparison, appended to BENCH_stress.json.
+# detector sampling fraction, and the pure-stress weakening oracle on
+# the program whose exhaustive baseline refuses, appended to
+# BENCH_stress.json.
 bench-stress:
 	$(GO) run ./cmd/atomig-bench -exp stress -json BENCH_stress.json
 
@@ -152,10 +154,11 @@ stress-smoke:
 # End-to-end smoke of the weakening optimizer (docs/WEAKENING.md):
 # port + -O the seqlock-gap and cna-lock flagships through the CLI at
 # -j 1 and -j 4, asserting the baseline verdict holds, the static cost
-# strictly decreases, both reports are byte-identical, and cna-lock
-# spends at most 64 checker re-verifications (an exact count, so a
-# noise-free regression gate). Built binary, not `go run`, so exit
-# codes survive intact.
+# strictly decreases, both reports are byte-identical, cna-lock screens
+# with stress sweeps and spends at most 24 checker re-verifications (an
+# exact count, so a noise-free regression gate), and seqlock-gap
+# screens with the checker. Built binary, not `go run`, so exit codes
+# survive intact.
 weaken-smoke:
 	$(GO) build -o bin/ ./cmd/atomig
 	sh scripts/weaken-smoke.sh bin/atomig

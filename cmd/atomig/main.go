@@ -96,9 +96,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	arch := fs.String("arch", weaken.DefaultArch, "cost-model architecture for -O: "+strings.Join(weaken.ArchNames(), ", "))
 	oRaces := fs.Bool("O-races", true, "with -O: keep the race detector in the verification loop")
 	oExecs := fs.Int("O-execs", 0, "with -O: per-candidate execution budget (0 = default)")
-	oOracle := fs.String("O-oracle", "exhaustive", "with -O: verification oracle — exhaustive, screened (stress-screen candidates, exhaustively confirm survivors), or stress (docs/STRESS.md)")
-	oStressSeeds := fs.Int("O-stress-seeds", 0, "with -O: stress-oracle screening schedules per scheduler mode (0 = default)")
-	oSample := fs.Float64("O-sample", 0, "with -O: stress-oracle location-sampling fraction (0 = observe everything)")
+	oOracle := fs.String("O-oracle", "exhaustive", "with -O: verification oracle — exhaustive (checker-verified commits; large programs screen candidates with stress sweeps) or stress (every check a stress sweep; docs/STRESS.md)")
+	oStressSeeds := fs.Int("O-stress-seeds", 0, "with -O-oracle stress: screening schedules per scheduler mode (0 = default)")
+	oSample := fs.Float64("O-sample", 0, "with -O-oracle stress: location-sampling fraction (0 = observe everything)")
 	explainRaces := fs.Bool("explain-races", false, "detect races in the un-ported input and explain what to promote")
 	entries := fs.String("entries", "", "comma-separated thread entries for -explain-races and -O on file inputs")
 	jobs := fs.Int("j", 1, "pipeline worker count (output is byte-identical for every value)")
@@ -133,6 +133,27 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
+	// weakenOptions builds the -O weakener options from the flag group.
+	weakenOptions := func() (weaken.Options, error) {
+		entryList, err := weakenEntries(*corpusName, *entries)
+		if err != nil {
+			return weaken.Options{}, err
+		}
+		oracle, err := weaken.ParseOracleMode(*oOracle)
+		if err != nil {
+			return weaken.Options{}, err
+		}
+		wopts := weaken.DefaultOptions(entryList)
+		wopts.Workers = *jobs
+		wopts.Arch = *arch
+		wopts.DetectRaces = *oRaces
+		wopts.MaxExecs = *oExecs
+		wopts.Oracle = oracle
+		wopts.StressSeeds = *oStressSeeds
+		wopts.StressSample = *oSample
+		wopts.Obs = prov
+		return wopts, nil
+	}
 
 	sp := prov.Track("pipeline").Begin("pipeline.parse")
 	mod, err := loadModule(*corpusName, fs.Args(), *jobs, prov)
@@ -147,15 +168,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		// site the optimizer weakened can never silently disagree.
 		var weakened []weaken.Decision
 		if *oWeaken {
-			oracle, err := weaken.ParseOracleMode(*oOracle)
+			wopts, err := weakenOptions()
 			if err != nil {
 				return fail(stderr, err)
 			}
-			weakened, err = portAndWeaken(mod, *corpusName, *entries, weakenConfig{
-				jobs: *jobs, arch: *arch, races: *oRaces, execs: *oExecs,
-				oracle: oracle, stressSeeds: *oStressSeeds, sample: *oSample, prov: prov,
-			})
-			if err != nil {
+			if weakened, err = portAndWeaken(mod, wopts); err != nil {
 				return fail(stderr, err)
 			}
 		}
@@ -181,6 +198,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "lasagne: inserted %d fences, elided %d (%d explicit, %d implicit barriers present)\n",
 			st.FencesInserted, st.FencesElided, expl, impl)
 	default:
+		var wopts weaken.Options
+		if *oWeaken {
+			if wopts, err = weakenOptions(); err != nil {
+				return fail(stderr, err)
+			}
+		}
 		opts := atomig.DefaultOptions()
 		opts.Inline = !*noInline
 		switch *level {
@@ -206,23 +229,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				rep.OptFolded, rep.OptHoisted, rep.OptRemoved)
 		}
 		if *oWeaken {
-			entryList, err := weakenEntries(*corpusName, *entries)
-			if err != nil {
-				return fail(stderr, err)
-			}
-			oracle, err := weaken.ParseOracleMode(*oOracle)
-			if err != nil {
-				return fail(stderr, err)
-			}
-			wopts := weaken.DefaultOptions(entryList)
-			wopts.Workers = *jobs
-			wopts.Arch = *arch
-			wopts.DetectRaces = *oRaces
-			wopts.MaxExecs = *oExecs
-			wopts.Oracle = oracle
-			wopts.StressSeeds = *oStressSeeds
-			wopts.StressSample = *oSample
-			wopts.Obs = prov
 			wres, err := weaken.Optimize(mod, wopts)
 			if err != nil {
 				return fail(stderr, err)
@@ -300,43 +306,18 @@ func weakenEntries(corpusName, entries string) ([]string, error) {
 	return nil, fmt.Errorf("no verification harness: use -entries a,b or a corpus program with a model-checking harness")
 }
 
-// weakenConfig carries the -O flag group.
-type weakenConfig struct {
-	jobs        int
-	arch        string
-	races       bool
-	execs       int
-	oracle      weaken.OracleMode
-	stressSeeds int
-	sample      float64
-	prov        *obs.Provider
-}
-
 // portAndWeaken ports a clone of mod and weakens it, returning the
 // accepted decisions — used by -explain-races -O, which needs the
 // optimizer's provenance without giving up the un-ported module the
 // race sweep runs on.
-func portAndWeaken(mod *ir.Module, corpusName, entries string, cfg weakenConfig) ([]weaken.Decision, error) {
-	entryList, err := weakenEntries(corpusName, entries)
-	if err != nil {
-		return nil, err
-	}
+func portAndWeaken(mod *ir.Module, wopts weaken.Options) ([]weaken.Decision, error) {
 	opts := atomig.DefaultOptions()
-	opts.Workers = cfg.jobs
-	opts.Obs = cfg.prov
+	opts.Workers = wopts.Workers
+	opts.Obs = wopts.Obs
 	ported, _, err := atomig.PortClone(mod, opts)
 	if err != nil {
 		return nil, err
 	}
-	wopts := weaken.DefaultOptions(entryList)
-	wopts.Workers = cfg.jobs
-	wopts.Arch = cfg.arch
-	wopts.DetectRaces = cfg.races
-	wopts.MaxExecs = cfg.execs
-	wopts.Oracle = cfg.oracle
-	wopts.StressSeeds = cfg.stressSeeds
-	wopts.StressSample = cfg.sample
-	wopts.Obs = cfg.prov
 	wres, err := weaken.Optimize(ported, wopts)
 	if err != nil {
 		return nil, err
@@ -361,9 +342,13 @@ func printWeakenReport(w io.Writer, res *weaken.Result) {
 	fmt.Fprintf(w, "  functions in scope:        %d (%d unreachable, kept at ported strength)\n",
 		res.FuncsInScope, res.FuncsSkipped)
 	fmt.Fprintf(w, "  checker re-verifications:  %d\n", res.MCChecks)
-	if res.Oracle != "" {
+	switch {
+	case res.Oracle != "":
 		fmt.Fprintf(w, "  oracle:                    %s (%d stress checks, %d schedules)\n",
 			res.Oracle, res.StressChecks, res.StressSchedules)
+	case res.StressChecks > 0:
+		fmt.Fprintf(w, "  stress screens:            %d (%d schedules)\n",
+			res.StressChecks, res.StressSchedules)
 	}
 	fmt.Fprintf(w, "  static cost (%s):       %d -> %d cycles (-%.1f%%)\n",
 		res.Arch, res.CostBefore, res.CostAfter, res.Reduction())

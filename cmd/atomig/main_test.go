@@ -43,6 +43,7 @@ func TestMalformedInputs(t *testing.T) {
 		{"missing file", []string{"/nonexistent/x.c"}},
 		{"malformed minic", []string{writeFile(t, "bad.c", "int x = = 3;")}},
 		{"malformed air", []string{writeFile(t, "bad.air", "define i64@(")}},
+		{"unknown oracle", []string{"-O", "-O-oracle", "screened", "-corpus", "mp"}},
 	}
 	for _, tc := range cases {
 		code, _, stderr := runCLI(t, tc.args...)

@@ -104,13 +104,6 @@ type Options struct {
 	// at the same index; empty strings (and a wrong-length slice) fall
 	// back to hashing in place. Ignored without Detect.
 	FuncHashes []string
-	// OptimizeSalt fingerprints the post-port weakening configuration
-	// active around this port (weaken.Options.Salt; empty when no
-	// optimizer runs). The port itself never reads it — it exists so
-	// CacheSalt changes whenever the optimize configuration does, and
-	// incremental consumers (the serve daemon) can never replay
-	// detection or weakening state computed under a different one.
-	OptimizeSalt string
 }
 
 // AliasStrategy selects the sticky-buddy mechanism.

@@ -88,16 +88,13 @@ func (c *MemCache) Clear() {
 // two textually identical functions analyze differently under different
 // layouts), and the globals' volatile/atomic annotations (the upgrade
 // mutations replayed from a summary must not leak across modules that
-// annotate the same global differently). The post-port optimize
-// configuration (OptimizeSalt) is folded in too: detection never reads
-// it, but keying on it guarantees a daemon toggling -O options starts
-// from a clean incremental slate instead of replaying state computed
-// under a different configuration. Ports of modules sharing a salt may
-// share a DetectCache.
+// annotate the same global differently). Nothing downstream of the
+// port — the -O weakener runs on a ported clone — enters the salt.
+// Ports of modules sharing a salt may share a DetectCache.
 func CacheSalt(m *ir.Module, opts Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "atomig.detect/v3|level=%d|polling=%t|barrier=%t|opt=%s\n",
-		opts.Level, opts.DetectPolling, opts.BarrierSeeds, opts.OptimizeSalt)
+	fmt.Fprintf(h, "atomig.detect/v4|level=%d|polling=%t|barrier=%t\n",
+		opts.Level, opts.DetectPolling, opts.BarrierSeeds)
 	names := make([]string, 0, len(m.Structs))
 	for n := range m.Structs {
 		names = append(names, n)

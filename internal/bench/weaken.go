@@ -16,27 +16,31 @@ import (
 
 // WeakenRow is one program's checker-in-the-loop weakening measurement:
 // how much static synchronization cost the optimizer removed from the
-// plain port, and how much checker work it took. A refused run (the
+// plain port, and what vouched for it: checker calls, and the stress
+// screens a run above the screening crossover used instead of checker
+// screens (docs/WEAKENING.md, "Choosing the screen"). A refused run (the
 // baseline verdict was a violation, or the budget could not establish
 // one) records the reason instead of a reduction — refusals are data,
 // not errors.
 type WeakenRow struct {
-	Program       string  `json:"program"`
-	Kind          string  `json:"kind"` // "corpus" or "appgen"
-	Arch          string  `json:"arch"`
-	DetectRaces   bool    `json:"detect_races"`
-	Verdict       string  `json:"verdict"`
-	Refused       string  `json:"refused,omitempty"`
-	CostBefore    int64   `json:"cost_before"`
-	CostAfter     int64   `json:"cost_after"`
-	ReductionPct  float64 `json:"reduction_pct"`
-	Tried         int     `json:"tried"`
-	Accepted      int     `json:"accepted"`
-	Rejected      int     `json:"rejected"`
-	Rounds        int     `json:"rounds"`
-	FencesDeleted int     `json:"fences_deleted"`
-	MCChecks      int     `json:"mc_checks"`
-	ElapsedMS     float64 `json:"elapsed_ms"`
+	Program         string  `json:"program"`
+	Kind            string  `json:"kind"` // "corpus" or "appgen"
+	Arch            string  `json:"arch"`
+	DetectRaces     bool    `json:"detect_races"`
+	Verdict         string  `json:"verdict"`
+	Refused         string  `json:"refused,omitempty"`
+	CostBefore      int64   `json:"cost_before"`
+	CostAfter       int64   `json:"cost_after"`
+	ReductionPct    float64 `json:"reduction_pct"`
+	Tried           int     `json:"tried"`
+	Accepted        int     `json:"accepted"`
+	Rejected        int     `json:"rejected"`
+	Rounds          int     `json:"rounds"`
+	FencesDeleted   int     `json:"fences_deleted"`
+	MCChecks        int     `json:"mc_checks"`
+	StressChecks    int     `json:"stress_checks"`
+	StressSchedules int     `json:"stress_schedules"`
+	ElapsedMS       float64 `json:"elapsed_ms"`
 }
 
 // WeakenTarget names one program of the sweep and its checker
@@ -127,22 +131,24 @@ func WeakenSweep(targets []WeakenTarget, workers int, arch string, prov *obs.Pro
 			return nil, fmt.Errorf("bench: weaken %s: %w", tgt.Name, err)
 		}
 		rows = append(rows, WeakenRow{
-			Program:       tgt.Name,
-			Kind:          tgt.Kind,
-			Arch:          res.Arch,
-			DetectRaces:   tgt.DetectRaces,
-			Verdict:       res.Verdict,
-			Refused:       res.Reason,
-			CostBefore:    res.CostBefore,
-			CostAfter:     res.CostAfter,
-			ReductionPct:  res.Reduction(),
-			Tried:         res.Tried,
-			Accepted:      res.Accepted,
-			Rejected:      res.Rejected,
-			Rounds:        res.Rounds,
-			FencesDeleted: res.FencesDeleted,
-			MCChecks:      res.MCChecks,
-			ElapsedMS:     float64(time.Since(start)) / float64(time.Millisecond),
+			Program:         tgt.Name,
+			Kind:            tgt.Kind,
+			Arch:            res.Arch,
+			DetectRaces:     tgt.DetectRaces,
+			Verdict:         res.Verdict,
+			Refused:         res.Reason,
+			CostBefore:      res.CostBefore,
+			CostAfter:       res.CostAfter,
+			ReductionPct:    res.Reduction(),
+			Tried:           res.Tried,
+			Accepted:        res.Accepted,
+			Rejected:        res.Rejected,
+			Rounds:          res.Rounds,
+			FencesDeleted:   res.FencesDeleted,
+			MCChecks:        res.MCChecks,
+			StressChecks:    res.StressChecks,
+			StressSchedules: res.StressSchedules,
+			ElapsedMS:       float64(time.Since(start)) / float64(time.Millisecond),
 		})
 	}
 	return rows, nil
@@ -152,17 +158,18 @@ func WeakenSweep(targets []WeakenTarget, workers int, arch string, prov *obs.Pro
 func FormatWeaken(rows []WeakenRow) string {
 	var b strings.Builder
 	b.WriteString("Checker-in-the-loop barrier weakening (cost vs plain port, per-arch static cycles)\n")
-	fmt.Fprintf(&b, "%-20s %-7s %-6s %5s %9s %9s %8s %6s %6s %7s %6s %10s\n",
-		"program", "kind", "arch", "races", "before", "after", "reduct", "tried", "accept", "rounds", "mc", "elapsed")
+	fmt.Fprintf(&b, "%-20s %-7s %-6s %5s %9s %9s %8s %6s %6s %7s %6s %6s %9s %10s\n",
+		"program", "kind", "arch", "races", "before", "after", "reduct", "tried", "accept", "rounds", "mc", "stress", "schedules", "elapsed")
 	for _, r := range rows {
 		if r.Refused != "" {
 			fmt.Fprintf(&b, "%-20s %-7s %-6s %5t %9d %9s refused: %s\n",
 				r.Program, r.Kind, r.Arch, r.DetectRaces, r.CostBefore, "-", r.Refused)
 			continue
 		}
-		fmt.Fprintf(&b, "%-20s %-7s %-6s %5t %9d %9d %7.1f%% %6d %6d %7d %6d %9.0fms\n",
+		fmt.Fprintf(&b, "%-20s %-7s %-6s %5t %9d %9d %7.1f%% %6d %6d %7d %6d %6d %9d %9.0fms\n",
 			r.Program, r.Kind, r.Arch, r.DetectRaces, r.CostBefore, r.CostAfter,
-			r.ReductionPct, r.Tried, r.Accepted, r.Rounds, r.MCChecks, r.ElapsedMS)
+			r.ReductionPct, r.Tried, r.Accepted, r.Rounds, r.MCChecks,
+			r.StressChecks, r.StressSchedules, r.ElapsedMS)
 	}
 	return b.String()
 }

@@ -252,8 +252,9 @@ func (s *Server) opStress(ctx context.Context, req *Request, sess *session) *Res
 // opOptimize ports the module (cached) and runs the checker-in-the-
 // loop weakening optimizer on the ported clone (internal/weaken). The
 // session memoizes the result per (options, module) — a repeat request
-// replays it with replayed=true — and folds the options into its cache
-// salt, so flipping any of them starts from a clean incremental slate.
+// replays it with replayed=true. The port inside it shares the
+// session's detection cache with plain ports: weakening options never
+// change what detection computes.
 func (s *Server) opOptimize(ctx context.Context, req *Request, sess *session) *Response {
 	if sess == nil {
 		return errResp(ErrNoModule, "no module loaded in session %q", sessionName(req))

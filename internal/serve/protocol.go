@@ -53,15 +53,15 @@ type Request struct {
 
 	// stress: schedules per scheduler mode (0 = 256) and the detector's
 	// location-sampling fraction (0 = observe everything); see
-	// docs/STRESS.md. Seeds doubles as the optimize stress-oracle
-	// screening budget when Oracle is "screened" or "stress".
+	// docs/STRESS.md. With optimize they are the stress oracle's budget
+	// and apply only when Oracle is "stress".
 	Seeds  int     `json:"seeds,omitempty"`
 	Sample float64 `json:"sample,omitempty"`
 
 	// optimize: static cost-model architecture ("" = weaken.DefaultArch)
 	// and the race-detection opt-out (detection is on by default; see
 	// docs/WEAKENING.md for when to disable it). Oracle selects the
-	// verification oracle: "" or "exhaustive", "screened", "stress"
+	// verification oracle: "" or "exhaustive", "stress"
 	// (docs/STRESS.md).
 	Arch    string `json:"arch,omitempty"`
 	NoRaces bool   `json:"no_races,omitempty"`

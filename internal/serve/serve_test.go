@@ -376,13 +376,13 @@ func TestSessionsAreIndependent(t *testing.T) {
 	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
 }
 
-// TestOptimizeSaltFlip is the regression for the optimize/cache-salt
-// contract: the optimize options are folded into the session's
-// CacheSalt and snapshot, so a daemon flipping them between warm ports
-// can never replay detection or weakening state computed under a
-// different configuration — each flip starts from a cold cache, and
-// only a repeat request with identical options replays the memoized
-// weakening result.
+// TestOptimizeSaltFlip is the regression for the optimize-memo
+// contract: only a repeat optimize with identical options on an
+// unedited module replays the memoized weakening result, and flipping
+// any option recomputes it. The detection cache is not keyed by the
+// optimize options — detection runs on the un-weakened snapshot — so
+// the port inside every optimize replays the warm cache, and its
+// weakened module equals the same request's on a fresh server.
 func TestOptimizeSaltFlip(t *testing.T) {
 	leakcheck.Check(t)
 	prog := corpus.Get("mp")
@@ -391,6 +391,15 @@ func TestOptimizeSaltFlip(t *testing.T) {
 	}
 	_, c := startServer(t, Options{})
 	mustOK(t, c.call(&Request{ID: "load", Op: "load", Name: "mp.c", Source: prog.Source}))
+	// fresh answers req on a server that has seen nothing but the load.
+	fresh := func(req Request) *Response {
+		t.Helper()
+		_, fc := startServer(t, Options{})
+		mustOK(t, fc.call(&Request{ID: "load", Op: "load", Name: "mp.c", Source: prog.Source}))
+		r := mustOK(t, fc.call(&req))
+		mustOK(t, fc.call(&Request{ID: "bye", Op: "shutdown"}))
+		return r
+	}
 
 	// Warm the detection cache under the optimize-off configuration.
 	cold := mustOK(t, c.call(&Request{ID: "p0", Op: "port"}))
@@ -402,16 +411,18 @@ func TestOptimizeSaltFlip(t *testing.T) {
 		t.Fatalf("warm port: hits=%d misses=%d, want all hits", warm.Report.CacheHits, warm.Report.CacheMisses)
 	}
 
-	// First optimize: the option flip (off -> on) re-salts the cache, so
-	// the port inside it must run cold — a warm replay here would be
-	// detection state from a different configuration.
+	// First optimize: no memo to replay, and the port inside it replays
+	// the warm detection cache.
 	opt := &Request{ID: "o1", Op: "optimize", Entries: prog.MCEntries, MaxExecs: 50000, Emit: true}
 	o1 := mustOK(t, c.call(opt))
 	if o1.Replayed {
 		t.Errorf("first optimize replayed a memo that cannot exist")
 	}
-	if o1.Report == nil || o1.Report.CacheMisses == 0 {
-		t.Errorf("optimize after salt flip reused the stale detection cache: %+v", o1.Report)
+	if o1.Report == nil || o1.Report.CacheMisses != 0 {
+		t.Errorf("optimize did not replay the warm detection cache: %+v", o1.Report)
+	}
+	if f := fresh(*opt); o1.Text != f.Text {
+		t.Errorf("optimize on a warm cache differs from a fresh server's:\n--- fresh\n%s\n--- warm\n%s", f.Text, o1.Text)
 	}
 	if o1.Optimize == nil || o1.Verdict != "verified" || o1.Reason != "" {
 		t.Fatalf("optimize: verdict=%q reason=%q optimize=%v, want verified", o1.Verdict, o1.Reason, o1.Optimize)
@@ -434,14 +445,17 @@ func TestOptimizeSaltFlip(t *testing.T) {
 	}
 
 	// Flip an option (cost-model arch): the memo must not replay, and
-	// the detection cache must run cold again under the new salt.
-	o3 := mustOK(t, c.call(&Request{ID: "o3", Op: "optimize", Entries: prog.MCEntries,
-		MaxExecs: 50000, Arch: "power"}))
+	// the port still replays the warm detection cache.
+	flip := &Request{ID: "o3", Op: "optimize", Entries: prog.MCEntries, MaxExecs: 50000, Arch: "power", Emit: true}
+	o3 := mustOK(t, c.call(flip))
 	if o3.Replayed {
 		t.Errorf("optimize with a flipped arch replayed the stale memo")
 	}
-	if o3.Report == nil || o3.Report.CacheMisses == 0 {
-		t.Errorf("optimize with a flipped arch reused the stale detection cache: %+v", o3.Report)
+	if o3.Report == nil || o3.Report.CacheMisses != 0 {
+		t.Errorf("optimize with a flipped arch did not replay the warm detection cache: %+v", o3.Report)
+	}
+	if f := fresh(*flip); o3.Text != f.Text {
+		t.Errorf("flipped-arch optimize differs from a fresh server's:\n--- fresh\n%s\n--- warm\n%s", f.Text, o3.Text)
 	}
 	if o3.Optimize.Arch != "power" || o3.Optimize.CostBefore == o1.Optimize.CostBefore {
 		t.Errorf("flipped arch not reflected: arch=%q cost %d vs %d",
@@ -462,6 +476,10 @@ func TestOptimizeSaltFlip(t *testing.T) {
 	// Missing entries likewise.
 	if r := c.call(&Request{ID: "o6", Op: "optimize"}); r.OK || r.ErrKind != ErrBadRequest {
 		t.Errorf("missing entries: got ok=%t kind=%q, want bad_request", r.OK, r.ErrKind)
+	}
+	// So is an oracle the weakener does not offer.
+	if r := c.call(&Request{ID: "o7", Op: "optimize", Entries: prog.MCEntries, Oracle: "screened"}); r.OK || r.ErrKind != ErrBadRequest {
+		t.Errorf("oracle screened: got ok=%t kind=%q, want bad_request", r.OK, r.ErrKind)
 	}
 
 	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))

@@ -39,16 +39,12 @@ type session struct {
 	salt   string
 	cache  *atomig.MemCache
 
-	// optSalt is the weakening configuration of the last optimize
-	// request ("" until one arrives). It is folded into the snapshot's
-	// CacheSalt, so flipping any optimize option re-salts the detection
-	// cache keys — the daemon can never replay detection or weakening
-	// state computed under a different configuration (satellite
-	// regression: TestOptimizeSaltFlip).
-	optSalt string
-	// opt memoizes the last optimize result, keyed by optSalt plus the
-	// snapshot's function hashes; an edit or an option flip changes the
-	// key and forces a recompute.
+	// opt memoizes the last optimize result, keyed by the request's
+	// weakening configuration (weaken.Options.Salt) plus the snapshot's
+	// function hashes; an edit or an option flip changes the key and
+	// forces a recompute. The detection cache needs no such key: it
+	// holds summaries of the un-weakened snapshot, and weakening runs
+	// on a ported clone (TestOptimizeSaltFlip).
 	opt *optMemo
 }
 
@@ -64,12 +60,9 @@ type optMemo struct {
 // portOptions returns the pipeline options every port of this session
 // runs with. Inline is off because the snapshot is already inlined;
 // everything else matches atomig.DefaultOptions, the CLI default.
-// optSalt is the session's active weakening configuration, folded into
-// the detection-cache salt (see the optSalt field).
-func portOptions(optSalt string) atomig.Options {
+func portOptions() atomig.Options {
 	opts := atomig.DefaultOptions()
 	opts.Inline = false
-	opts.OptimizeSalt = optSalt
 	return opts
 }
 
@@ -121,10 +114,9 @@ func (s *session) rebuild() error {
 	if err != nil {
 		return err
 	}
-	popts := portOptions(s.optSalt)
 	analysis.Inline(snap, atomig.DefaultOptions().InlineOptions)
 	s.snap = snap
-	s.salt = atomig.CacheSalt(snap, popts)
+	s.salt = atomig.CacheSalt(snap, portOptions())
 	s.hashes = make([]string, len(snap.Funcs))
 	for i, f := range snap.Funcs {
 		s.hashes[i] = atomig.FuncKey(s.salt, f)
@@ -188,13 +180,12 @@ func (s *session) port(ctx context.Context, workers int, prov *obs.Provider) (*i
 	snap := s.snap
 	hashes := s.hashes
 	cache := s.cache
-	optSalt := s.optSalt
 	clone, err := ir.CloneModule(snap)
 	s.mu.RUnlock()
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := portOptions(optSalt)
+	opts := portOptions()
 	opts.Context = ctx
 	opts.Detect = cache
 	opts.FuncHashes = hashes
@@ -207,26 +198,11 @@ func (s *session) port(ctx context.Context, workers int, prov *obs.Provider) (*i
 	return clone, rep, nil
 }
 
-// setOptimize records the weakening configuration the session now runs
-// under. A changed salt rebuilds the snapshot — new detection-cache
-// keys, dropped optimize memo — so nothing computed under the previous
-// configuration can be replayed; an unchanged salt is a no-op.
-func (s *session) setOptimize(salt string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.optSalt == salt {
-		return nil
-	}
-	s.optSalt = salt
-	s.opt = nil
-	return s.rebuild()
-}
-
-// optKey keys the optimize memo: the active configuration plus the
-// snapshot's function hashes (already salted by module header state),
-// so an edit or an option flip misses.
-func (s *session) optKey() string {
-	return s.optSalt + "\x00" + strings.Join(s.hashes, "\x00")
+// optKey keys the optimize memo: the weakening configuration's salt
+// plus the snapshot's function hashes (already salted by module header
+// state), so an edit or an option flip misses.
+func (s *session) optKey(salt string) string {
+	return salt + "\x00" + strings.Join(s.hashes, "\x00")
 }
 
 // optimize ports the session (cached) and runs the weakening optimizer
@@ -236,11 +212,9 @@ func (s *session) optKey() string {
 // wopts carries the request's weakening options; Workers/Context/Obs
 // are overridden with the server's.
 func (s *session) optimize(ctx context.Context, workers int, prov *obs.Provider, wopts weaken.Options) (res *weaken.Result, rep *atomig.Report, text string, replayed bool, err error) {
-	if err := s.setOptimize(wopts.Salt()); err != nil {
-		return nil, nil, "", false, err
-	}
+	salt := wopts.Salt()
 	s.mu.RLock()
-	key := s.optKey()
+	key := s.optKey(salt)
 	if m := s.opt; m != nil && m.key == key {
 		s.mu.RUnlock()
 		return m.res, m.rep, m.text, true, nil
@@ -260,11 +234,11 @@ func (s *session) optimize(ctx context.Context, workers int, prov *obs.Provider,
 	}
 	text = ported.String()
 
-	// Publish the memo only if the session state it was computed from
-	// is still current (an edit or option flip racing this request
-	// invalidates it — serve the response, drop the memo).
+	// Publish the memo only if the snapshot it was computed from is
+	// still current (an edit racing this request invalidates it — serve
+	// the response, drop the memo).
 	s.mu.Lock()
-	if s.optKey() == key {
+	if s.optKey(salt) == key {
 		s.opt = &optMemo{key: key, res: res, rep: rep, text: text}
 	}
 	s.mu.Unlock()

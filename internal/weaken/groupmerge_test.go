@@ -126,7 +126,6 @@ func referenceScreen(w *weakener, cands []candidate) ([]bool, error) {
 // harness and budgets with full exploration (no StopAtFirst), accounted
 // like every exhaustive check.
 func referenceCheck(w *weakener, m *ir.Module) (*mc.Result, error) {
-	t0 := time.Now()
 	res, err := mc.Check(m, mc.Options{
 		Model:           w.opts.Model,
 		Entries:         w.opts.Entries,
@@ -139,7 +138,7 @@ func referenceCheck(w *weakener, m *ir.Module) (*mc.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.note(res.Executions, time.Since(t0))
+	w.note(res, false)
 	return res, nil
 }
 

@@ -1,24 +1,24 @@
 // The oracle seam: which engine vouches for a candidate weakening.
 //
 // Every acceptance decision in this package flows through exactly one
-// verification call, and OracleMode selects what answers it. The
-// default is the bounded-exhaustive model checker — a proof within the
-// budget. The stress engine (internal/stress) is the cheap alternative:
-// a seeded schedule sweep whose verdict is a *witness*, not a proof.
-// The two compose:
+// verification call (verify), and OracleMode selects what answers it:
 //
-//   - OracleScreened keeps the baseline and the merge exhaustive and
-//     uses stress only to screen round candidates. Screening acceptance
-//     is regression-only (acceptStress): a candidate is dropped only
-//     when the sweep witnesses an assertion violation, a race key
+//   - OracleExhaustive (the default) keeps the baseline and every merge
+//     check on the bounded-exhaustive model checker — a proof within the
+//     budget. Only candidate screening picks its engine, once per run,
+//     from the baseline check: the checker when the baseline explored at
+//     most stressScreenAbove executions, a seeded stress sweep (a
+//     witness, not a proof) above that. Screening acceptance under a
+//     sweep is regression-only (acceptStress): a candidate is dropped
+//     only when the sweep witnesses an assertion violation, a race key
 //     outside the baseline set, or a fresh livelock — all regressions
-//     the exhaustive screen would also reject, since every stress
-//     schedule is a real execution inside the checker's search space.
-//     Stress-screening therefore passes a superset of what exhaustive
-//     screening passes, and the strict exhaustive merge check remains
-//     the gate for every commit: the weakened module is the same as
-//     under OracleExhaustive (TestOracleEquivalence pins this on the
-//     litmus corpus), at a fraction of the checker time.
+//     the checker screen would also reject, since every stress schedule
+//     is a real execution inside the checker's search space. A stress
+//     screen therefore passes a superset of what a checker screen
+//     passes, and the strict exhaustive merge check remains the gate for
+//     every commit: the weakened module is the same whichever engine
+//     screened (TestGroupMergeMatchesReference pins this against a
+//     reference that screens on the checker).
 //   - OracleStress runs baseline, screening and merge all on the
 //     stress engine, for programs beyond exhaustive reach — where
 //     mc.Check returns `unknown` and the exhaustive optimizer refuses.
@@ -32,7 +32,6 @@ package weaken
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/ir"
 	"repro/internal/mc"
@@ -44,28 +43,36 @@ import (
 type OracleMode int
 
 const (
-	// OracleExhaustive re-verifies every candidate with the
-	// bounded-exhaustive checker (the default).
+	// OracleExhaustive proves every commit with the bounded-exhaustive
+	// checker (the default).
 	OracleExhaustive OracleMode = iota
-	// OracleScreened stress-screens candidates and exhaustively
-	// verifies only the survivors; same output as OracleExhaustive.
-	OracleScreened
 	// OracleStress runs every check on the stress engine; for programs
 	// beyond exhaustive reach.
 	OracleStress
 )
 
+// stressScreenAbove is the baseline size, in checker executions, above
+// which the default oracle screens candidates with a stress sweep
+// instead of the checker. A screen sweep runs a fixed 160 schedules
+// (defaultStressSeeds per scheduler mode), and one schedule costs about
+// six checker executions of the same program, so the sweep is the
+// cheaper screen from about 1,000 baseline executions on. Measured as
+// a run's total screening time on the corpus (one worker,
+// GOMAXPROCS=1, 2-vCPU host), checker screens won up to seqlock's 757
+// baseline executions (170 against 216 ms), and stress screens from
+// dcl-spin's 1,180 (69 against 78 ms) to cna-lock's 3,587 (1,171
+// against 3,363 ms).
+const stressScreenAbove = 1000
+
 // AllOracleModes lists the modes in parse order.
 func AllOracleModes() []OracleMode {
-	return []OracleMode{OracleExhaustive, OracleScreened, OracleStress}
+	return []OracleMode{OracleExhaustive, OracleStress}
 }
 
 func (o OracleMode) String() string {
 	switch o {
 	case OracleExhaustive:
 		return "exhaustive"
-	case OracleScreened:
-		return "screened"
 	case OracleStress:
 		return "stress"
 	}
@@ -79,11 +86,12 @@ func ParseOracleMode(s string) (OracleMode, error) {
 			return m, nil
 		}
 	}
-	return 0, fmt.Errorf("weaken: unknown oracle %q (want exhaustive, screened or stress)", s)
+	return 0, fmt.Errorf("weaken: unknown oracle %q (want exhaustive or stress)", s)
 }
 
 // checkRole distinguishes the three verification points of a run — the
-// oracle dispatch is role-aware (OracleScreened swaps only the screen).
+// oracle dispatch is role-aware (the default oracle may swap only the
+// screen).
 type checkRole int
 
 const (
@@ -92,56 +100,75 @@ const (
 	roleMerge
 )
 
-// verify runs one re-verification through the oracle the run and role
-// select. The stressed return tells the caller which accounting bucket
-// (note vs noteStress) and acceptance rule (accepted vs acceptStress)
-// apply to the result.
-func (w *weakener) verify(m *ir.Module, role checkRole) (res *mc.Result, el time.Duration, stressed bool, err error) {
-	switch w.opts.Oracle {
-	case OracleScreened:
-		if role != roleScreen {
-			break // baseline and merge stay exhaustive
-		}
-		res, el, err = w.stressCheck(m, w.opts.StressSeeds, 1)
-		return res, el, true, err
-	case OracleStress:
-		// Screening runs single-threaded (the candidate fan-out is the
-		// parallel axis); the sequential baseline and merge checks get
-		// the full fan-out and a four times heavier confirm budget.
-		seeds, workers := w.opts.StressSeeds, 1
-		if role != roleScreen {
-			seeds, workers = 4*w.opts.StressSeeds, w.res.Workers
-		}
-		res, el, err = w.stressCheck(m, seeds, workers)
-		return res, el, true, err
+// stressed reports whether a check in the given role runs on the
+// stress engine: every check under OracleStress; under the default
+// oracle only candidate screens, and only when the baseline check
+// explored more than stressScreenAbove executions.
+func (w *weakener) stressed(role checkRole) bool {
+	if w.opts.Oracle == OracleStress {
+		return true
 	}
-	res, el, err = w.check(m, role)
-	return res, el, false, err
+	return role == roleScreen && w.base.Executions > stressScreenAbove
+}
+
+// verify runs one re-verification on the engine the run and role
+// select. The stressed return tells the caller which accounting bucket
+// (note) and acceptance rule (acceptFor) apply to the result. A checker
+// check runs at one worker, which keeps it deterministic; parallelism
+// lives at the candidate level. verify mutates nothing on the weakener
+// beyond the (atomic) latency histogram, so screening workers may call
+// it concurrently.
+func (w *weakener) verify(m *ir.Module, role checkRole) (res *mc.Result, stressed bool, err error) {
+	stressed = w.stressed(role)
+	if stressed {
+		res, err = w.stressCheck(m, role)
+	} else {
+		res, err = mc.Check(m, w.checkOptions(role))
+	}
+	if err != nil {
+		return nil, stressed, err
+	}
+	w.c.verifyMicros.Observe(res.Elapsed.Microseconds())
+	return res, stressed, nil
 }
 
 // stressCheck sweeps m's schedule grid and folds the outcome into the
 // checker's result shape: schedules become executions, step-limited
 // schedules become truncations, and the verdict is the witnessed one —
 // VerdictPass here means "nothing witnessed", never "proved".
-func (w *weakener) stressCheck(m *ir.Module, seeds, workers int) (*mc.Result, time.Duration, error) {
-	t0 := time.Now()
+//
+// A screen runs on one worker (the candidate fan-out is the parallel
+// axis). The default oracle's screen has a fixed budget:
+// defaultStressSeeds schedules per scheduler mode with every location
+// observed. OracleStress screens on its configured budget, and its
+// sequential baseline and merge checks get the full fan-out and a four
+// times heavier confirm budget.
+func (w *weakener) stressCheck(m *ir.Module, role checkRole) (*mc.Result, error) {
+	seeds, sample, workers := defaultStressSeeds, 1.0, 1
+	if w.opts.Oracle == OracleStress {
+		seeds, sample = w.opts.StressSeeds, w.opts.StressSample
+		if role != roleScreen {
+			seeds, workers = 4*seeds, w.res.Workers
+		}
+	}
 	sres, err := stress.Sweep(m, stress.Options{
 		Model:    w.opts.Model,
 		Entries:  w.opts.Entries,
 		Seeds:    seeds,
-		Sample:   w.opts.StressSample,
+		Sample:   sample,
 		Workers:  workers,
 		MaxSteps: w.opts.MaxStepsPerExec,
 		Context:  w.opts.Context,
 		Obs:      w.opts.Obs,
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	out := &mc.Result{
 		Executions: sres.Schedules,
 		Truncated:  sres.StepLimited,
 		Violations: sres.Violations(),
+		Elapsed:    sres.Elapsed,
 	}
 	if w.opts.DetectRaces {
 		out.Races = sres.Races()
@@ -154,13 +181,11 @@ func (w *weakener) stressCheck(m *ir.Module, seeds, workers int) (*mc.Result, ti
 	default:
 		out.Verdict = mc.VerdictPass
 	}
-	el := time.Since(t0)
-	w.c.verifyMicros.Observe(el.Microseconds())
-	return out, el, nil
+	return out, nil
 }
 
 // acceptFor routes one verification result to the acceptance rule its
-// oracle warrants.
+// engine warrants.
 func (w *weakener) acceptFor(res *mc.Result, stressed bool) bool {
 	if stressed {
 		return w.acceptStress(res)
@@ -170,11 +195,11 @@ func (w *weakener) acceptFor(res *mc.Result, stressed bool) bool {
 
 // acceptStress is the regression-only acceptance rule for stress
 // results. A sweep that merely fails to re-find a baseline race must
-// not reject a candidate — under OracleScreened that would diverge
-// from what the exhaustive screen accepts — so rejection requires a
-// *witnessed* regression: an assertion violation or deadlock, a race
-// key outside the baseline set, or a step-limited schedule when the
-// baseline had none (a weakening that introduced a livelock).
+// not reject a candidate — a stress screen would then diverge from
+// what a checker screen accepts — so rejection requires a *witnessed*
+// regression: an assertion violation or deadlock, a race key outside
+// the baseline set, or a step-limited schedule when the baseline had
+// none (a weakening that introduced a livelock).
 func (w *weakener) acceptStress(res *mc.Result) bool {
 	if res.Verdict == mc.VerdictFail {
 		return false
@@ -188,14 +213,6 @@ func (w *weakener) acceptStress(res *mc.Result) bool {
 		return false
 	}
 	return true
-}
-
-// noteStress accounts one completed stress-oracle check into the
-// report. Sequential only, like note.
-func (w *weakener) noteStress(schedules int, el time.Duration) {
-	w.res.StressChecks++
-	w.res.StressSchedules += schedules
-	w.res.StressTime += el
 }
 
 // stressVerdictName renders a stress-oracle baseline verdict with the

@@ -21,12 +21,12 @@ const (
 // defaults Optimize itself applies, so an explicit default and an
 // unset field share a fingerprint. Workers is excluded (the weakened
 // module is byte-identical at every fan-out), as are Context and Obs
-// (they never influence the result).
+// (they never influence the result), and so is the default oracle's
+// choice of screening engine (it changes a run's cost, not its module).
 //
-// Incremental consumers — the serve daemon folds this into the
-// session's atomig.CacheSalt — use it to guarantee that toggling any
-// optimize option invalidates cached state computed under a different
-// configuration.
+// Incremental consumers — the serve daemon keys its optimize memo by
+// it — use it to guarantee that toggling any optimize option
+// invalidates a result computed under a different configuration.
 func (o Options) Salt() string {
 	arch := o.Arch
 	if arch == "" {

@@ -87,22 +87,25 @@ type Options struct {
 	// monotonically lower the module cost.
 	Arch string
 	// Oracle selects the verification oracle (oracle.go,
-	// docs/STRESS.md). OracleExhaustive (the default) re-verifies every
-	// candidate with the bounded-exhaustive checker. OracleScreened
-	// keeps the exhaustive baseline and merge but screens candidates
-	// with the stress engine — the same final module, at a fraction of
-	// the checker time. OracleStress runs every check on the stress
+	// docs/STRESS.md). OracleExhaustive (the default) verifies the
+	// baseline and every commit with the bounded-exhaustive checker. It
+	// screens candidates with the checker too, or, when the baseline
+	// check explored more than stressScreenAbove executions, with a
+	// fixed-budget stress sweep: the same weakened module either way,
+	// at a lower cost. OracleStress runs every check on the stress
 	// engine, for programs beyond exhaustive reach; acceptance then
 	// means "no regression witnessed under the schedule budget", not a
 	// proof.
 	Oracle OracleMode
-	// StressSeeds is the stress oracle's screening budget: schedules
-	// per scheduler mode per check (0 = 32). OracleStress spends four
-	// times as many on its baseline and merge checks.
+	// StressSeeds is OracleStress's screening budget: schedules per
+	// scheduler mode per check (0 = 32). OracleStress spends four times
+	// as many on its baseline and merge checks. The default oracle's
+	// stress screens ignore it.
 	StressSeeds int
-	// StressSample is the stress oracle's per-location sampling
-	// fraction, 0 < f <= 1 (0 = 1: observe every location; see
-	// stress.Options.Sample for the soundness boundary).
+	// StressSample is OracleStress's per-location sampling fraction,
+	// 0 < f <= 1 (0 = 1: observe every location; see
+	// stress.Options.Sample for the soundness boundary). The default
+	// oracle's stress screens ignore it and observe every location.
 	StressSample float64
 	// Context, when non-nil, cancels the optimization between
 	// candidate verifications; the module is left in the last
@@ -169,7 +172,7 @@ type Result struct {
 	// proof); the final module re-verifies to exactly this verdict.
 	Verdict string `json:"verdict"`
 	// Oracle names the verification oracle when it is not the default
-	// exhaustive checker ("screened" or "stress").
+	// exhaustive checker ("stress").
 	Oracle string `json:"oracle,omitempty"`
 	// Reason is set when the optimizer refused to run (baseline
 	// violated or unknown); the module is unchanged.
@@ -211,12 +214,15 @@ type Result struct {
 
 	// MCChecks and MCExecutions total the exhaustive checker work spent
 	// (baseline + batches + screening + bisection); MCTime is its wall
-	// clock.
+	// clock, as the checker timed it.
 	MCChecks     int           `json:"mc_checks"`
 	MCExecutions int           `json:"mc_executions"`
 	MCTime       time.Duration `json:"mc_time_ns"`
-	// StressChecks and StressSchedules total the stress oracle's work;
-	// StressTime is its wall clock. All zero under OracleExhaustive.
+	// StressChecks and StressSchedules total the stress sweeps' work —
+	// every check under OracleStress, the candidate screens of a default
+	// run above stressScreenAbove baseline executions; StressTime is
+	// their wall clock, as the sweeps timed it. All zero when no sweep
+	// ran.
 	StressChecks    int           `json:"stress_checks,omitempty"`
 	StressSchedules int           `json:"stress_schedules,omitempty"`
 	StressTime      time.Duration `json:"stress_time_ns,omitempty"`
@@ -317,6 +323,7 @@ func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, erro
 	os := trk.Begin("weaken.optimize").Arg("module", m.Name).
 		Arg("arch", cost.Name).Arg("workers", workers)
 	defer func() {
+		w.res.Duration = time.Since(start)
 		os.End()
 		if err == nil {
 			w.c.publish(w.res)
@@ -333,19 +340,16 @@ func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, erro
 
 	// Baseline: the verdict every weakening must preserve.
 	bs := trk.Begin("weaken.baseline")
-	var bel time.Duration
 	var bstress bool
-	w.base, bel, bstress, err = w.verify(m, roleBaseline)
+	w.base, bstress, err = w.verify(m, roleBaseline)
 	bs.Arg("verdict", verdictName(w.base, err)).End()
 	if err != nil {
 		return nil, fmt.Errorf("weaken: baseline check: %w", err)
 	}
+	w.note(w.base, bstress)
+	w.res.Verdict = w.base.Verdict.String()
 	if bstress {
-		w.noteStress(w.base.Executions, bel)
 		w.res.Verdict = stressVerdictName(w.base.Verdict)
-	} else {
-		w.note(w.base.Executions, bel)
-		w.res.Verdict = w.base.Verdict.String()
 	}
 	switch w.base.Verdict {
 	case mc.VerdictFail:
@@ -353,13 +357,11 @@ func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, erro
 		if bstress {
 			w.res.Reason = "baseline violated (stress witness): refusing to optimize a program whose specification does not hold"
 		}
-		w.res.Duration = time.Since(start)
 		return w.res, nil
 	case mc.VerdictUnknown:
 		// Unreachable under the stress oracle: a sweep always returns a
 		// witnessed verdict.
 		w.res.Reason = fmt.Sprintf("baseline unknown (%s): raise the budget to establish a verdict to preserve, or screen with -O-oracle=stress", w.base.Reason)
-		w.res.Duration = time.Since(start)
 		return w.res, nil
 	}
 	w.baseRace = make(map[string]bool, len(w.base.Races))
@@ -370,7 +372,6 @@ func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, erro
 	w.collectSites()
 	for {
 		if err := w.ctxErr(); err != nil {
-			w.res.Duration = time.Since(start)
 			return nil, err
 		}
 		w.res.Rounds++
@@ -378,7 +379,6 @@ func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, erro
 		changed, err := round(w, workers)
 		rs.Arg("changed", changed).End()
 		if err != nil {
-			w.res.Duration = time.Since(start)
 			return nil, err
 		}
 		w.c.rounds.Inc()
@@ -387,7 +387,6 @@ func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, erro
 		}
 	}
 	w.res.CostAfter = w.scopeCost()
-	w.res.Duration = time.Since(start)
 	return w.res, nil
 }
 
@@ -685,13 +684,12 @@ func firstPerSite(cands []candidate) ([]candidate, []int) {
 	return batch, at
 }
 
-// screenOutcome is one candidate's screening verdict plus the checker
-// work it cost, carried back to the sequential aggregation step.
+// screenOutcome is one candidate's screening verdict plus the check
+// that decided it, carried back to the sequential aggregation step.
 type screenOutcome struct {
 	pass     bool
-	stressed bool // the stress oracle screened it (accounting bucket)
-	execs    int
-	elapsed  time.Duration
+	stressed bool // a stress sweep screened it (accounting bucket)
+	res      *mc.Result
 }
 
 // screen checks every candidate of a round independently against a
@@ -731,11 +729,7 @@ func (w *weakener) screen(cands []candidate, workers int) ([]bool, error) {
 	pass := make([]bool, len(cands))
 	for i, o := range outs {
 		pass[i] = o.pass
-		if o.stressed {
-			w.noteStress(o.execs, o.elapsed)
-		} else {
-			w.note(o.execs, o.elapsed)
-		}
+		w.note(o.res, o.stressed)
 		if !o.pass {
 			w.tally(false)
 		}
@@ -766,14 +760,11 @@ func (w *weakener) screenOne(c candidate) (screenOutcome, error) {
 	} else {
 		blk.Instrs[pos].Ord = c.ord
 	}
-	res, el, stressed, err := w.verify(clone, roleScreen)
+	res, stressed, err := w.verify(clone, roleScreen)
 	if err != nil {
 		return screenOutcome{}, err
 	}
-	return screenOutcome{
-		pass: w.acceptFor(res, stressed), stressed: stressed,
-		execs: res.Executions, elapsed: el,
-	}, nil
+	return screenOutcome{pass: w.acceptFor(res, stressed), stressed: stressed, res: res}, nil
 }
 
 // applied is one candidate applied to the live module but not yet
@@ -821,7 +812,7 @@ func (w *weakener) tryCommit(batch []candidate) (bool, error) {
 		}
 		done = append(done, a)
 	}
-	res, el, stressed, err := w.verify(w.m, roleMerge)
+	res, stressed, err := w.verify(w.m, roleMerge)
 	if err == nil {
 		// A canceled check is no verdict: a stress sweep cut short
 		// reports only what it ran, so it must not commit anything.
@@ -831,11 +822,7 @@ func (w *weakener) tryCommit(batch []candidate) (bool, error) {
 		revert()
 		return false, err
 	}
-	if stressed {
-		w.noteStress(res.Executions, el)
-	} else {
-		w.note(res.Executions, el)
-	}
+	w.note(res, stressed)
 	if !w.acceptFor(res, stressed) {
 		revert()
 		return false, nil
@@ -916,23 +903,6 @@ func (w *weakener) tally(ok bool) {
 	}
 }
 
-// check runs one bounded re-verification in the given role and returns
-// its wall clock alongside the result. Each check runs the checker at
-// one worker, which keeps it deterministic; parallelism lives at the
-// candidate level. It mutates nothing on the weakener beyond the
-// (atomic) latency histogram — callers account the work via note,
-// sequentially.
-func (w *weakener) check(m *ir.Module, role checkRole) (*mc.Result, time.Duration, error) {
-	t0 := time.Now()
-	res, err := mc.Check(m, w.checkOptions(role))
-	if err != nil {
-		return nil, 0, err
-	}
-	el := time.Since(t0)
-	w.c.verifyMicros.Observe(el.Microseconds())
-	return res, el, nil
-}
-
 // checkOptions returns the checker options of one re-verification in
 // the given role, with the run's early-stop rule: against a verified
 // baseline, any violation, race or unknown verdict rejects a candidate,
@@ -954,12 +924,19 @@ func (w *weakener) checkOptions(role checkRole) mc.Options {
 	}
 }
 
-// note accounts one completed check's work into the report. Sequential
-// only, for the same reason as tally.
-func (w *weakener) note(execs int, el time.Duration) {
+// note accounts one completed check's work into the report, in the
+// bucket of the engine that ran it and at the engine's own elapsed
+// time. Sequential only, for the same reason as tally.
+func (w *weakener) note(res *mc.Result, stressed bool) {
+	if stressed {
+		w.res.StressChecks++
+		w.res.StressSchedules += res.Executions
+		w.res.StressTime += res.Elapsed
+		return
+	}
 	w.res.MCChecks++
-	w.res.MCExecutions += execs
-	w.res.MCTime += el
+	w.res.MCExecutions += res.Executions
+	w.res.MCTime += res.Elapsed
 }
 
 // deleteInstr removes the instruction at pos from the block.

@@ -4,9 +4,13 @@
 # verdict holds (the report says so only after re-verifying every
 # committed weakening cumulatively), the static cost strictly
 # decreases, and the report is byte-identical at -j 1 and -j 4. It
-# also gates cna-lock's checker re-verifications: group testing spends
-# 59 where the one-at-a-time merge spent 129, and the count is exact at
-# every -j, so going above 64 is a regression, not noise. Driven by
+# also pins the weakener's choice of screening engine: cna-lock's
+# baseline explores more than the crossover's 1,000 executions, so its
+# candidates are screened by stress sweeps (a `stress screens:` line)
+# and it spends 17 checker re-verifications where checker screens
+# spent 59. The count is exact at every -j, so going above 24 is a
+# regression, not noise. seqlock-gap's baseline sits below the
+# crossover, so its report shows no stress screens. Driven by
 # `make weaken-smoke` (wired into `make check`).
 #
 # Usage: weaken-smoke.sh <atomig-binary>
@@ -17,7 +21,7 @@ if [ -z "$ATOMIG" ]; then
     echo "usage: $0 <atomig-binary>" >&2
     exit 2
 fi
-MAX_CNA_CHECKS=64
+MAX_CNA_CHECKS=24
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
@@ -55,9 +59,19 @@ for prog in seqlock-gap cna-lock; do
         echo "weaken-smoke: $prog: cost did not strictly decrease ($before -> $after)" >&2
         exit 1
     fi
-    if [ "$prog" = cna-lock ] && [ "$checks" -gt "$MAX_CNA_CHECKS" ]; then
-        echo "weaken-smoke: cna-lock: $checks checker re-verifications, want <= $MAX_CNA_CHECKS" >&2
+    screens=$(grep "stress screens:" "$out" | sed -E 's/.*: *([0-9]+) .*/\1/')
+    if [ "$prog" = cna-lock ]; then
+        if [ "$checks" -gt "$MAX_CNA_CHECKS" ]; then
+            echo "weaken-smoke: cna-lock: $checks checker re-verifications, want <= $MAX_CNA_CHECKS" >&2
+            exit 1
+        fi
+        if [ -z "$screens" ]; then
+            echo "weaken-smoke: cna-lock: no stress screens; its baseline is above the crossover" >&2
+            exit 1
+        fi
+    elif [ -n "$screens" ]; then
+        echo "weaken-smoke: $prog: $screens stress screens below the crossover" >&2
         exit 1
     fi
-    echo "weaken-smoke: $prog: verified, cost $before -> $after cycles, $checks checks, same report at -j 1 and -j 4"
+    echo "weaken-smoke: $prog: verified, cost $before -> $after cycles, $checks checks, ${screens:-no} stress screens, same report at -j 1 and -j 4"
 done
