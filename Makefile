@@ -6,7 +6,7 @@ GO      ?= go
 GOFMT   ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check fanout-check grid-check test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke clean
+.PHONY: all build vet fmt-check fanout-check grid-check lock-check test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke clean
 
 # Module size for the pipeline byte-identical-output smoke. Big enough
 # to exercise the parallel fan-out, small enough for `make check`.
@@ -62,6 +62,19 @@ grid-check:
 		xargs grep -nE 'GridSeed[[:space:]]*\('); \
 	if [ -n "$$lines" ]; then echo "vm.GridSeed outside internal/stress and internal/vm (sweep with stress.Sweep):"; echo "$$lines"; exit 1; fi
 
+# Lock gate: fails, naming the lines, when a tracked non-test .go file
+# of the porting pipeline imports sync, sync/atomic or unsafe. The
+# rule: fanout.Each owns the pipeline's synchronization, its callbacks
+# write per-index slots, and the in-order merge builds every
+# cross-function structure. internal/atomig/incremental.go is exempt:
+# it holds the daemon's shared detection cache.
+LOCK_CHECKED = internal/ir internal/minic internal/analysis internal/alias internal/transform internal/opt internal/atomig
+lock-check:
+	@lines=$$(git ls-files -- $(LOCK_CHECKED) | grep '\.go$$' | \
+		grep -v -e '_test\.go$$' -e '^internal/atomig/incremental\.go$$' | \
+		xargs grep -nHE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.][A-Za-z0-9_]*[[:space:]]+)?"(sync|sync/atomic|unsafe)"[[:space:]]*(//.*)?$$'); \
+	if [ -n "$$lines" ]; then echo "sync, sync/atomic or unsafe in the porting pipeline (write per-index slots from fanout.Each, merge in order):"; echo "$$lines"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -70,7 +83,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check fanout-check grid-check test test-race bench-mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
+check: build vet fmt-check fanout-check grid-check lock-check test test-race bench-mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
 
 # Model-checker scaling sweep (docs/MODEL-CHECKER.md): exhaustive
 # exploration of the litmus+seqlock corpus at 1..8 workers, appending

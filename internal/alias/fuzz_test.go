@@ -1,8 +1,9 @@
-package alias
+package alias_test
 
 import (
 	"testing"
 
+	"repro/internal/alias"
 	"repro/internal/ir"
 )
 
@@ -39,13 +40,14 @@ func fuzzSeedModules() []string {
 	}
 }
 
-// FuzzAliasExplore feeds arbitrary AIR text to the sharded alias map.
-// Accepted modules must uphold the map's invariants at every worker
-// count: identical descriptors, classes, buddy lists and exploration
-// results at 1 and 4 workers (the determinism contract of
+// FuzzAliasExplore feeds arbitrary AIR text to the alias map. Accepted
+// modules must uphold the map's invariants at every worker count:
+// identical descriptors, canonical representatives, buddy lists and
+// exploration results at 1 and 4 workers (the determinism contract of
 // docs/PIPELINE.md), canonicalization as a fixed point, classes closed
 // under Explore, and a merge count that depends only on the final
-// partition. A panic anywhere is a finding.
+// partition. TestMapMatchesClosure checks the same API against an
+// independent reference. A panic anywhere is a finding.
 func FuzzAliasExplore(f *testing.F) {
 	for _, s := range fuzzSeedModules() {
 		f.Add(s)
@@ -61,8 +63,8 @@ func FuzzAliasExplore(f *testing.F) {
 		if err := ir.Verify(m); err != nil {
 			return
 		}
-		m1 := BuildMap(m)
-		m4 := BuildMapParallel(m, 4)
+		m1 := alias.BuildMap(m)
+		m4 := alias.BuildMapFromAccesses(m, 4, nil)
 
 		var accesses []*ir.Instr
 		m.EachInstr(func(_ *ir.Func, in *ir.Instr) {
@@ -81,9 +83,6 @@ func FuzzAliasExplore(f *testing.F) {
 			}
 			if again := m1.Canon(c1); again != c1 {
 				t.Fatalf("Canon not a fixed point: %s -> %s -> %s", l1, c1, again)
-			}
-			if !m1.Same(l1, c1) {
-				t.Fatalf("Same(%s, Canon(%s)) is false", l1, l1)
 			}
 			if l1.Shared() {
 				buddies1, buddies4 := m1.Buddies(l1), m4.Buddies(l1)

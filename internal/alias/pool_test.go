@@ -60,7 +60,7 @@ func TestBuildMapPanicPropagatesToCaller(t *testing.T) {
 func TestBuildMapFromAccessesMatchesScan(t *testing.T) {
 	leakcheck.Check(t)
 	m := poolFuncs(t, 40)
-	ref := BuildMapParallel(m, 1)
+	ref := BuildMapFromAccesses(m, 1, nil)
 	prepared := make([][]Access, len(m.Funcs))
 	for i, f := range m.Funcs {
 		prepared[i] = PrepareFunc(f)

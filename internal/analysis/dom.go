@@ -117,6 +117,3 @@ func (d *DomTree) Reachable(b *ir.Block) bool {
 	_, ok := d.order[b]
 	return ok
 }
-
-// RPO returns the blocks in reverse postorder.
-func (d *DomTree) RPO() []*ir.Block { return d.rpo }

@@ -9,7 +9,6 @@ package atomig
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/alias"
@@ -240,7 +239,7 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	}
 	det := make([]funcDetect, len(m.Funcs))
 	accs := make([][]alias.Access, len(m.Funcs))
-	var hits, misses atomic.Int64
+	hit := make([]bool, len(m.Funcs))
 	err = fanout.Each(workers, len(m.Funcs), func(_, fi int) error {
 		if err := opts.ctxErr(); err != nil {
 			return err
@@ -254,21 +253,12 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 				key = FuncKey(salt, f)
 			}
 		}
-		d, a, hit := detectFunc(f, opts, key)
-		det[fi], accs[fi] = d, a
-		if opts.Detect != nil {
-			if hit {
-				hits.Add(1)
-			} else {
-				misses.Add(1)
-			}
-		}
+		det[fi], accs[fi], hit[fi] = detectFunc(f, opts, key)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep.CacheHits, rep.CacheMisses = int(hits.Load()), int(misses.Load())
 
 	implicitAdded := 0
 	var seeds []*ir.Instr
@@ -276,6 +266,13 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	var optLoops []*analysis.SpinloopInfo
 	for fi := range det {
 		d := &det[fi]
+		if opts.Detect != nil {
+			if hit[fi] {
+				rep.CacheHits++
+			} else {
+				rep.CacheMisses++
+			}
+		}
 		rep.VolatileConverted += d.expl.VolatileConverted
 		rep.AtomicUpgraded += d.expl.AtomicUpgraded
 		implicitAdded += d.expl.VolatileConverted // upgrades were already atomic
@@ -326,8 +323,8 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	sp.Arg("seeds", len(seeds)).End()
 
 	// Phase 3: alias exploration (paper section 3.4) — sticky buddies.
-	// The map build is the sharded concurrent worklist; exploration and
-	// marking are deterministic-order consumers of its frozen classes.
+	// The map is folded in module order from the accesses detection
+	// prepared; exploration and marking read its classes in that order.
 	sp = trk.Begin("pipeline.alias")
 	am := alias.BuildMapFromAccesses(m, workers, func(fi int, f *ir.Func) []alias.Access {
 		return accs[fi]

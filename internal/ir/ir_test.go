@@ -306,3 +306,36 @@ func TestMarks(t *testing.T) {
 		t.Fatalf("marks string = %q", s)
 	}
 }
+
+// TestModuleReachable: reachability follows direct calls and function
+// references, skips functions nothing reaches, and ignores entry names
+// the module does not define.
+func TestModuleReachable(t *testing.T) {
+	m := NewModule("reach")
+	fn := func(name string) *Func {
+		f := &Func{Name: name, RetTy: Void}
+		if err := m.AddFunc(f); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	worker, leaf, helper, unused, main := fn("worker"), fn("leaf"), fn("helper"), fn("unused"), fn("main_thread")
+	NewBuilder(worker).Ret(nil)
+	NewBuilder(leaf).Ret(nil)
+	hb := NewBuilder(helper)
+	hb.Call(Void, "leaf")
+	hb.Ret(nil)
+	NewBuilder(unused).Ret(nil)
+	b := NewBuilder(main)
+	b.Call(Void, "helper")
+	b.Call(Void, "spawn", &FuncRef{Fn: worker})
+	b.Ret(nil)
+
+	got := m.Reachable([]string{"main_thread", "no_such_entry"})
+	if len(got) != 4 || !got[main] || !got[helper] || !got[leaf] || !got[worker] || got[unused] {
+		t.Fatalf("Reachable = %v, want main_thread, helper, leaf and worker", got)
+	}
+	if got := m.Reachable([]string{"unused"}); len(got) != 1 || !got[unused] {
+		t.Fatalf("Reachable(unused) = %v", got)
+	}
+}

@@ -267,6 +267,39 @@ func (m *Module) EachInstr(fn func(*Func, *Instr)) {
 	}
 }
 
+// Reachable returns the functions reachable from the named entries:
+// direct calls by name plus every function whose reference appears as
+// an operand (spawn targets, stored function pointers). That errs on
+// the inclusive side. Unknown entry names reach nothing.
+func (m *Module) Reachable(entries []string) map[*Func]bool {
+	in := make(map[*Func]bool, len(entries))
+	var stack []*Func
+	push := func(f *Func) {
+		if f != nil && !in[f] {
+			in[f] = true
+			stack = append(stack, f)
+		}
+	}
+	for _, e := range entries {
+		push(m.Func(e))
+	}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		f.Instrs(func(instr *Instr) {
+			if instr.Op == OpCall {
+				push(m.Func(instr.Callee))
+			}
+			for _, a := range instr.Args {
+				if fr, ok := a.(*FuncRef); ok {
+					push(fr.Fn)
+				}
+			}
+		})
+	}
+	return in
+}
+
 // NumInstrs returns the total instruction count of the module.
 func (m *Module) NumInstrs() int {
 	n := 0

@@ -175,9 +175,6 @@ func TypesEqual(a, b Type) bool {
 	return false
 }
 
-// IsInt reports whether t is an integer type.
-func IsInt(t Type) bool { _, ok := t.(*IntType); return ok }
-
 // IsPtr reports whether t is a pointer type.
 func IsPtr(t Type) bool { _, ok := t.(*PtrType); return ok }
 

@@ -80,11 +80,3 @@ func ListenAndServe(addr string, p *Provider, health func() Health) (string, fun
 	}()
 	return ln.Addr().String(), srv.Close, nil
 }
-
-// ServePprof starts the telemetry surface on addr for the remainder of
-// the process and returns the bound address. Retained for call sites
-// that have no shutdown path; prefer ListenAndServe.
-func ServePprof(addr string) (string, error) {
-	bound, _, err := ListenAndServe(addr, nil, nil)
-	return bound, err
-}

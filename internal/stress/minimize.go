@@ -270,7 +270,7 @@ func (mz *minimizer) dropEntries() {
 // Semantics-preserving by construction; the next oracle run (every
 // pass ends in one) backstops the claim.
 func (mz *minimizer) prune() {
-	keep := reachable(mz.mod, mz.ents)
+	keep := mz.mod.Reachable(mz.ents)
 	used := make(map[*ir.Global]bool)
 	for _, f := range mz.mod.Funcs {
 		if !keep[f] {
@@ -556,37 +556,6 @@ func (mz *minimizer) shrinkConsts() {
 			}
 		}
 	}
-}
-
-// reachable returns the functions reachable from the entries through
-// calls and function references.
-func reachable(m *ir.Module, entries []string) map[*ir.Func]bool {
-	in := make(map[*ir.Func]bool, len(entries))
-	var stack []*ir.Func
-	push := func(f *ir.Func) {
-		if f != nil && !in[f] {
-			in[f] = true
-			stack = append(stack, f)
-		}
-	}
-	for _, e := range entries {
-		push(m.Func(e))
-	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		f.Instrs(func(instr *ir.Instr) {
-			if instr.Op == ir.OpCall {
-				push(m.Func(instr.Callee))
-			}
-			for _, a := range instr.Args {
-				if fr, ok := a.(*ir.FuncRef); ok {
-					push(fr.Fn)
-				}
-			}
-		})
-	}
-	return in
 }
 
 // moduleSize measures a module for the minimization report.

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/diag"
@@ -248,6 +247,8 @@ type sweeper struct {
 	smp *sampler
 	ctl *reseed
 	v   *vm.VM
+	// resets and allocs count this worker's VM reuses and builds.
+	resets, allocs int64
 }
 
 // outcomeOf records how the schedule v just ran ended, with its
@@ -294,7 +295,6 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 	defer sp.End()
 
 	out := &Result{}
-	var resets, allocs atomic.Int64
 	ws := make([]*sweeper, workers)
 
 	err = fanout.Each(workers, len(cells), func(w, i int) error {
@@ -324,10 +324,10 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 				Costs:      vm.DefaultCosts(),
 				Hook:       sw.smp,
 			})
-			allocs.Add(1)
+			sw.allocs++
 		} else {
 			err = sw.v.Reset()
-			resets.Add(1)
+			sw.resets++
 		}
 		if err != nil {
 			return fmt.Errorf("stress (%s): %w", sc, err)
@@ -429,12 +429,13 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 	merged.Adopt(sorted)
 	out.Detector = merged
 	out.Schedules = countRan(cells)
-	out.VMResets, out.VMAllocs = resets.Load(), allocs.Load()
-	// Each worker's sampler accumulated its tallies locally; fold them in.
+	// Each worker accumulated its tallies locally; fold them in.
 	for _, sw := range ws {
 		if sw != nil {
 			out.Forwarded += sw.smp.forwarded
 			out.Skipped += sw.smp.skipped
+			out.VMResets += sw.resets
+			out.VMAllocs += sw.allocs
 		}
 	}
 	cForwarded.Add(out.Forwarded)

@@ -483,13 +483,6 @@ func (v *VM) Step(t *thread) (err error) {
 	return err
 }
 
-// Threads returns the number of threads created so far.
-func (v *VM) Threads() int { return len(v.threads) }
-
-// ThreadState returns whether thread ti can currently run (after
-// unblock resolution via Runnable).
-func (v *VM) ThreadDone(ti int) bool { return v.threads[ti].state == tDone }
-
 // Result returns the (possibly still accumulating) result.
 func (v *VM) Result() *Result { return v.res }
 

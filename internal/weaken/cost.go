@@ -182,17 +182,3 @@ func (c CostModel) InstrCost(in *ir.Instr) int64 {
 	}
 	return 0
 }
-
-// Cost sums the static synchronization cost of every instruction site
-// in the module.
-func Cost(m *ir.Module, c CostModel) int64 {
-	var total int64
-	for _, f := range m.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				total += c.InstrCost(in)
-			}
-		}
-	}
-	return total
-}

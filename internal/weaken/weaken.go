@@ -422,7 +422,7 @@ func (w *weakener) ctxErr() error {
 // weakening there would never be contradicted — it would be an
 // unverified rewrite wearing a verified one's provenance.
 func (w *weakener) collectSites() {
-	in := reachableFuncs(w.m, w.opts.Entries)
+	in := w.m.Reachable(w.opts.Entries)
 	for fi, f := range w.m.Funcs {
 		if !in[f] {
 			w.res.FuncsSkipped++
@@ -441,7 +441,7 @@ func (w *weakener) collectSites() {
 
 // scopeCost sums the static cost over the optimization scope.
 func (w *weakener) scopeCost() int64 {
-	in := reachableFuncs(w.m, w.opts.Entries)
+	in := w.m.Reachable(w.opts.Entries)
 	var total int64
 	for _, f := range w.m.Funcs {
 		if !in[f] {
@@ -454,41 +454,6 @@ func (w *weakener) scopeCost() int64 {
 		}
 	}
 	return total
-}
-
-// reachableFuncs walks the call graph from the entry functions:
-// direct calls by name plus any function whose reference appears as an
-// operand (spawn targets, stored function pointers — conservative in
-// the inclusive direction, which is the safe one here).
-func reachableFuncs(m *ir.Module, entries []string) map[*ir.Func]bool {
-	in := make(map[*ir.Func]bool, len(entries))
-	var stack []*ir.Func
-	push := func(f *ir.Func) {
-		if f != nil && !in[f] {
-			in[f] = true
-			stack = append(stack, f)
-		}
-	}
-	for _, e := range entries {
-		push(m.Func(e))
-	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, b := range f.Blocks {
-			for _, instr := range b.Instrs {
-				if instr.Op == ir.OpCall {
-					push(m.Func(instr.Callee))
-				}
-				for _, a := range instr.Args {
-					if fr, ok := a.(*ir.FuncRef); ok {
-						push(fr.Fn)
-					}
-				}
-			}
-		}
-	}
-	return in
 }
 
 // ladder returns the orderings to try next, weakest-preferred order
