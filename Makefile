@@ -63,17 +63,20 @@ grid-check:
 	if [ -n "$$lines" ]; then echo "vm.GridSeed outside internal/stress and internal/vm (sweep with stress.Sweep):"; echo "$$lines"; exit 1; fi
 
 # Lock gate: fails, naming the lines, when a tracked non-test .go file
-# of the porting pipeline imports sync, sync/atomic or unsafe. The
-# rule: fanout.Each owns the pipeline's synchronization, its callbacks
-# write per-index slots, and the in-order merge builds every
-# cross-function structure. internal/atomig/incremental.go is exempt:
-# it holds the daemon's shared detection cache.
-LOCK_CHECKED = internal/ir internal/minic internal/analysis internal/alias internal/transform internal/opt internal/atomig
+# of the porting pipeline or of the execution engines imports sync,
+# sync/atomic or unsafe. The rule: fanout.Each owns the pipeline's
+# synchronization, its callbacks write per-index slots, and the
+# in-order merge builds every cross-function structure. The execution
+# engines (vm, memmodel, race, stress) keep their dense per-cell state
+# single-owner: each worker owns its VM, detector and scheduler.
+# internal/atomig/incremental.go is exempt: it holds the daemon's
+# shared detection cache.
+LOCK_CHECKED = internal/ir internal/minic internal/analysis internal/alias internal/transform internal/opt internal/atomig internal/vm internal/memmodel internal/race internal/stress
 lock-check:
 	@lines=$$(git ls-files -- $(LOCK_CHECKED) | grep '\.go$$' | \
 		grep -v -e '_test\.go$$' -e '^internal/atomig/incremental\.go$$' | \
 		xargs grep -nHE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.][A-Za-z0-9_]*[[:space:]]+)?"(sync|sync/atomic|unsafe)"[[:space:]]*(//.*)?$$'); \
-	if [ -n "$$lines" ]; then echo "sync, sync/atomic or unsafe in the porting pipeline (write per-index slots from fanout.Each, merge in order):"; echo "$$lines"; exit 1; fi
+	if [ -n "$$lines" ]; then echo "sync, sync/atomic or unsafe in the porting pipeline or an execution engine (write per-index slots from fanout.Each, merge in order; keep engine state per worker):"; echo "$$lines"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -310,7 +310,7 @@ func (d *dfs) split() (unit, bool) {
 func (d *dfs) PickThread(runnable []int) int { return runnable[d.pick(len(runnable))] }
 
 // PickRead implements vm.Controller.
-func (d *dfs) PickRead(_ memmodel.Addr, eligible []int) int { return d.pick(len(eligible)) }
+func (d *dfs) PickRead(_ memmodel.Addr, n int) int { return d.pick(n) }
 
 // PickNondet implements vm.Controller.
 func (d *dfs) PickNondet(max int) int { return d.pick(max) }

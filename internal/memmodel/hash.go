@@ -1,10 +1,5 @@
 package memmodel
 
-import (
-	"encoding/binary"
-	"sort"
-)
-
 // mix64 is the splitmix64 finalizer: a cheap bijective mixer whose
 // output bits all depend on all input bits. The incremental state
 // hashes below combine per-component hashes with XOR (a multiset
@@ -23,26 +18,27 @@ func mix64(x uint64) uint64 {
 // state hashes (the VM's flat memory backend).
 func Mix64(x uint64) uint64 { return mix64(x) }
 
-// StateHash returns an order-independent hash of the view: the XOR of a
-// mixed (address, timestamp) pair per nonzero entry. Equal views hash
-// equal regardless of map iteration order, and the hash is cheap enough
-// to recompute per dirty thread on every visible step of the model
-// checker.
-func (v View) StateHash() uint64 {
+// entriesHash is the order-independent hash of a view's entries: the
+// XOR of a mixed (address, timestamp) pair per entry.
+func entriesHash(ents []ViewEntry) uint64 {
 	var h uint64
-	for a, ts := range v {
-		if ts != 0 {
-			h ^= mix64(uint64(a)*0x9e3779b97f4a7c15 ^ uint64(ts))
-		}
+	for _, e := range ents {
+		h ^= mix64(uint64(e.Addr)*0x9e3779b97f4a7c15 ^ uint64(e.TS))
 	}
 	return h
 }
+
+// StateHash returns an order-independent hash of the view: the XOR of a
+// mixed (address, timestamp) pair per location. It is cheap enough to
+// recompute per dirty thread on every visible step of the model
+// checker.
+func (v *View) StateHash() uint64 { return entriesHash(v.ents) }
 
 // msgHash hashes one message (value, timestamp, released view).
 func msgHash(m Msg) uint64 {
 	h := mix64(uint64(m.Val)*0x2545f4914f6cdd1d ^ uint64(m.TS))
 	if m.Rel != nil {
-		h ^= mix64(m.Rel.StateHash() ^ 0xa0761d6478bd642f)
+		h ^= mix64(entriesHash(m.Rel) ^ 0xa0761d6478bd642f)
 	}
 	return h
 }
@@ -53,74 +49,29 @@ func addrTag(a Addr, histHash uint64) uint64 {
 	return mix64(histHash ^ mix64(uint64(a)))
 }
 
-// noteAppend folds a newly appended (or materialized) message at a into
-// the machine's incremental state accumulator. Histories are
-// append-only, so the per-address running hash is an FNV-style chain
-// over the message hashes, and the machine-level accumulator XORs the
-// address-tagged per-address hashes (XOR lets one address's update
-// replace its old contribution in O(1)).
-func (mc *Machine) noteAppend(a Addr, m Msg) {
-	old := mc.addrAcc[a]
-	mc.acc ^= addrTag(a, old)
-	nh := old*1099511628211 ^ msgHash(m)
-	mc.addrAcc[a] = nh
-	mc.acc ^= addrTag(a, nh)
-}
-
-// StateAcc returns the incrementally maintained hash of the machine's
-// memory state: every touched location's message history plus the
-// global SC view. It replaces serializing the full state (AppendState)
-// on every visible step of the model checker; AppendState remains the
-// canonical (and slower) form.
+// StateAcc returns the hash of the machine's memory state: every
+// touched location's message history plus the global SC view.
+// Histories are append-only, so each location's hash is an FNV-style
+// chain over its message hashes, and the machine XORs the
+// address-tagged location hashes (XOR lets one location's update
+// replace its old contribution in O(1)). The chains are extended here,
+// for the locations written since the last call, so executions that
+// never ask for a state hash (stress schedules) never pay for one.
 func (mc *Machine) StateAcc() uint64 {
+	for _, c := range mc.pending {
+		cl := mc.cells.At(c)
+		h := cl.acc
+		mc.acc ^= addrTag(cl.addr, h)
+		for _, m := range cl.hist[cl.hashed:] {
+			h = h*1099511628211 ^ msgHash(m)
+		}
+		cl.acc, cl.hashed = h, len(cl.hist)
+		mc.acc ^= addrTag(cl.addr, h)
+	}
+	mc.pending = mc.pending[:0]
 	if mc.scDirty {
 		mc.scHash = mix64(mc.scView.StateHash() ^ 0x8bb84b93962eacc9)
 		mc.scDirty = false
 	}
 	return mc.acc ^ mc.scHash
-}
-
-// AppendState serializes the view canonically (sorted by address) for
-// state hashing in the model checker.
-func (v View) AppendState(buf []byte) []byte {
-	addrs := make([]Addr, 0, len(v))
-	for a, ts := range v {
-		if ts != 0 {
-			addrs = append(addrs, a)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(addrs)))
-	for _, a := range addrs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(a))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v[a]))
-	}
-	return buf
-}
-
-// AppendState serializes the machine's memory state canonically for
-// state hashing: every touched location's message history (values and
-// released views) plus the global SC view.
-func (mc *Machine) AppendState(buf []byte) []byte {
-	addrs := make([]Addr, 0, len(mc.hist))
-	for a := range mc.hist {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(addrs)))
-	for _, a := range addrs {
-		h := mc.hist[a]
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(a))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(h)))
-		for _, m := range h {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Val))
-			if m.Rel != nil {
-				buf = append(buf, 1)
-				buf = m.Rel.AppendState(buf)
-			} else {
-				buf = append(buf, 0)
-			}
-		}
-	}
-	return mc.scView.AppendState(buf)
 }

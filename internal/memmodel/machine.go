@@ -4,36 +4,52 @@ package memmodel
 // message a weak load observes. The VM plugs in a seeded random oracle;
 // the model checker plugs in its DFS exploration.
 type ReadOracle interface {
-	// PickRead returns an index into the eligible slice (message
-	// timestamps, oldest first). The eligible slice always has at least
-	// one element (the newest message).
-	PickRead(addr Addr, eligible []int) int
+	// PickRead returns which of the n eligible messages the load reads,
+	// as an index in [0, n) from the oldest eligible message to the
+	// newest. n is always at least 1 (the newest message).
+	PickRead(addr Addr, n int) int
 }
 
-// NewestOracle always reads the newest eligible message, yielding
-// SC-like executions even under weak models (useful for performance
-// runs where weak behaviors are not the point).
-type NewestOracle struct{}
-
-// PickRead returns the newest message index.
-func (NewestOracle) PickRead(_ Addr, eligible []int) int { return len(eligible) - 1 }
+// cell is one location's memory-model state.
+type cell struct {
+	// hist is the location's message history, oldest first; empty until
+	// the execution first touches the location.
+	hist []Msg
+	addr Addr
+	// acc is the running hash of hist[:hashed] (see StateAcc): history
+	// hashing runs when a state hash is asked for, not per store.
+	acc    uint64
+	hashed int
+}
 
 // Machine is a view-based shared memory shared by all threads of an
-// execution.
+// execution. Locations are cells numbered by the VM (see Cell); each
+// access names both the cell, which indexes the machine's tables, and
+// its address, which keys views and state hashes.
 type Machine struct {
 	Model Model
-	hist  map[Addr][]Msg
+	cells Cells[cell]
+	// touched lists the cells whose history this execution materialized,
+	// in first-touch order; Reset clears exactly these.
+	touched []Cell
+	// init holds the initial values of cells 0..len(init)-1 (the globals)
+	// and overInit those of this execution's overflow cells, by ^cell;
+	// every other cell starts at 0.
+	init     []int64
+	overInit []int64
 	// scView is the global view joined by SC accesses and fences,
 	// modelling the total order implicit barriers establish.
 	scView View
 	oracle ReadOracle
-	// initial values for lazily materialized locations.
-	init map[Addr]int64
+	// arena backs the released-view snapshots of this execution's
+	// messages; Reset truncates it.
+	arena []ViewEntry
 	// Incremental state-hash accumulators (see StateAcc): acc XORs the
-	// address-tagged per-address history hashes in addrAcc; scHash caches
-	// the SC-view hash, recomputed when scDirty.
+	// address-tagged history hashes of the touched cells; pending lists
+	// the cells with messages not yet folded into their hash; scHash
+	// caches the SC-view hash, recomputed when scDirty.
 	acc     uint64
-	addrAcc map[Addr]uint64
+	pending []Cell
 	scHash  uint64
 	scDirty bool
 }
@@ -41,53 +57,80 @@ type Machine struct {
 // NewMachine returns an empty machine under the given model using the
 // supplied oracle for weak read choices.
 func NewMachine(model Model, oracle ReadOracle) *Machine {
-	return &Machine{
-		Model:   model,
-		hist:    make(map[Addr][]Msg),
-		scView:  make(View),
-		oracle:  oracle,
-		init:    make(map[Addr]int64),
-		addrAcc: make(map[Addr]uint64),
-	}
+	return &Machine{Model: model, oracle: oracle}
 }
 
-// Reset restores the machine to its empty initial state while keeping
-// the allocated maps, so one machine can serve many executions (the
-// model checker's VM reuse). Callers must re-apply initial values
-// (SetInit) afterwards.
+// SetInits records the initial values of cells 0..len(init)-1; the
+// machine keeps the slice, which must not change afterwards. Every other
+// cell starts at 0.
+func (mc *Machine) SetInits(init []int64) { mc.init = init }
+
+// SetInit records the initial value of overflow cell c (c < 0) for the
+// current execution; Reset forgets it, as the VM renumbers overflow
+// cells per execution.
+func (mc *Machine) SetInit(c Cell, v int64) {
+	i := int(^c)
+	if i >= len(mc.overInit) {
+		mc.overInit = grow(mc.overInit, i+1)
+	}
+	mc.overInit[i] = v
+}
+
+// Reset restores the machine to its empty initial state, clearing only
+// the cells the execution touched and keeping every buffer, so one
+// machine can serve many executions (the model checker's VM reuse).
+// Initial values (SetInits) persist.
 func (mc *Machine) Reset() {
-	clear(mc.hist)
-	clear(mc.scView)
-	clear(mc.init)
-	clear(mc.addrAcc)
+	for _, c := range mc.touched {
+		cl := mc.cells.At(c)
+		cl.hist = cl.hist[:0]
+		cl.acc, cl.hashed = 0, 0
+	}
+	mc.touched = mc.touched[:0]
+	clear(mc.overInit)
+	mc.pending = mc.pending[:0]
+	mc.arena = mc.arena[:0]
+	mc.scView.Reset()
 	mc.acc = 0
 	mc.scHash = 0
 	mc.scDirty = false
 }
 
-// SetInit records the initial value of a location (default 0).
-func (mc *Machine) SetInit(a Addr, v int64) { mc.init[a] = v }
-
-// Final returns the newest value at a location — the value every thread
-// would agree on after full synchronization. Used by the differential
-// harness to compare final states across models and schedulers.
-func (mc *Machine) Final(a Addr) int64 {
-	if h, ok := mc.hist[a]; ok && len(h) > 0 {
-		return h[len(h)-1].Val
+// initOf returns the initial value of cell c.
+func (mc *Machine) initOf(c Cell) int64 {
+	if c >= 0 {
+		if int(c) < len(mc.init) {
+			return mc.init[c]
+		}
+		return 0
 	}
-	return mc.init[a]
+	if i := int(^c); i < len(mc.overInit) {
+		return mc.overInit[i]
+	}
+	return 0
 }
 
-// history returns the message list of a location, materializing the
-// initial message on first touch.
-func (mc *Machine) history(a Addr) []Msg {
-	h, ok := mc.hist[a]
-	if !ok {
-		h = []Msg{{Val: mc.init[a], TS: 0}}
-		mc.hist[a] = h
-		mc.noteAppend(a, h[0])
+// Final returns the newest value at a cell — the value every thread
+// would agree on after full synchronization. Used by the differential
+// harness to compare final states across models and schedulers.
+func (mc *Machine) Final(c Cell) int64 {
+	if cl := mc.cells.Has(c); cl != nil && len(cl.hist) > 0 {
+		return cl.hist[len(cl.hist)-1].Val
 	}
-	return h
+	return mc.initOf(c)
+}
+
+// loc returns the state of cell c at address a, materializing the
+// initial message on first touch.
+func (mc *Machine) loc(c Cell, a Addr) *cell {
+	cl := mc.cells.At(c)
+	if len(cl.hist) == 0 {
+		cl.hist = append(cl.hist, Msg{Val: mc.initOf(c)})
+		cl.addr = a
+		mc.touched = append(mc.touched, c)
+		mc.pending = append(mc.pending, c)
+	}
+	return cl
 }
 
 // Thread is the per-thread memory state: its view.
@@ -96,91 +139,78 @@ type Thread struct {
 }
 
 // NewThread returns a fresh thread view.
-func NewThread() *Thread { return &Thread{View: make(View)} }
+func NewThread() *Thread { return &Thread{} }
 
-// Reset clears the thread's view, keeping the allocated map (VM reuse
-// across model-checker executions).
-func (t *Thread) Reset() { clear(t.View) }
+// Reset clears the thread's view, keeping its buffers (VM reuse across
+// model-checker executions).
+func (t *Thread) Reset() { t.View.Reset() }
 
-// Fork returns a new thread inheriting the parent's view (a spawned
-// thread synchronizes with its creator).
-func (t *Thread) Fork() *Thread { return &Thread{View: t.View.Clone()} }
+// JoinThread absorbs another thread's view into t (a joining thread
+// synchronizes with the joined thread's final state; a spawned thread
+// joins its creator's view into an empty one).
+func (t *Thread) JoinThread(o *Thread) { t.View.Join(o.View.ents) }
 
-// JoinThread absorbs a finished thread's view into t (a joining thread
-// synchronizes with the joined thread's final state).
-func (t *Thread) JoinThread(o *Thread) { t.View.Join(o.View) }
-
-// EligibleReads returns the timestamps a load with the given effective
-// ordering may read at a. On an SC machine every load sees only the
-// newest message. Under the weak models, loads — including SC-atomic
-// loads — may read any message at or above the thread's view floor:
-// C11/RC11 allows an SC load to read a stale write as long as the SC
-// total order stays consistent, and that staleness is precisely the
-// behavior that breaks sequence locks whose counters were made SC
-// without fences (the paper's Spin-level ablation of Table 2). SC
-// ordering between fenced accesses is restored by Fence's global-view
-// synchronization; atomic read-modify-writes always read the newest
-// message (hardware exclusives fail on stale lines).
-func (mc *Machine) EligibleReads(t *Thread, a Addr, ord AccessOrd) []int {
-	h := mc.history(a)
+// eligible returns the messages a load with the given effective
+// ordering may read at cell c (address a): n messages starting at
+// timestamp start, always ending at the newest. On an SC machine every
+// load sees only the newest message. Under the weak models, loads —
+// including SC-atomic loads — may read any message at or above the
+// thread's view floor: C11/RC11 allows an SC load to read a stale write
+// as long as the SC total order stays consistent, and that staleness is
+// precisely the behavior that breaks sequence locks whose counters were
+// made SC without fences (the paper's Spin-level ablation of Table 2).
+// SC ordering between fenced accesses is restored by Fence's
+// global-view synchronization; atomic read-modify-writes always read
+// the newest message (hardware exclusives fail on stale lines).
+func (mc *Machine) eligible(t *Thread, c Cell, a Addr, ord AccessOrd) (start, n int) {
+	h := mc.loc(c, a).hist
 	if mc.Model == ModelSC {
-		return []int{len(h) - 1}
+		return len(h) - 1, 1
 	}
-	floor := t.View[a]
-	out := make([]int, 0, len(h)-floor)
-	for ts := floor; ts < len(h); ts++ {
-		out = append(out, ts)
-	}
-	return out
+	floor := t.View.Floor(a)
+	return floor, len(h) - floor
 }
 
-// Load performs a load with the given effective ordering, consulting
-// the oracle for the read choice.
-func (mc *Machine) Load(t *Thread, a Addr, ord AccessOrd) int64 {
-	v, _ := mc.LoadT(t, a, ord)
-	return v
+// LoadT performs a load with the given effective ordering, consulting
+// the oracle for the read choice, and returns the value and the
+// timestamp of the message read — the identity instrumentation (race
+// detection) needs to follow reads-from edges precisely.
+func (mc *Machine) LoadT(t *Thread, c Cell, a Addr, ord AccessOrd) (int64, int) {
+	start, n := mc.eligible(t, c, a, ord)
+	ts := start + mc.oracle.PickRead(a, n)
+	return mc.finishLoad(t, mc.cells.At(c), ord, ts), ts
 }
 
-// LoadT is Load additionally reporting the timestamp of the message
-// read — the identity instrumentation (race detection) needs to follow
-// reads-from edges precisely.
-func (mc *Machine) LoadT(t *Thread, a Addr, ord AccessOrd) (int64, int) {
-	eligible := mc.EligibleReads(t, a, ord)
-	ts := eligible[mc.oracle.PickRead(a, eligible)]
-	return mc.finishLoad(t, a, ord, ts), ts
-}
-
-// finishLoad applies the view effects of reading message ts at a.
-func (mc *Machine) finishLoad(t *Thread, a Addr, ord AccessOrd, ts int) int64 {
-	h := mc.history(a)
-	m := h[ts]
-	if t.View[a] < ts {
-		t.View[a] = ts // per-location coherence for this thread
-	}
+// finishLoad applies the view effects of reading message ts of cl.
+func (mc *Machine) finishLoad(t *Thread, cl *cell, ord AccessOrd, ts int) int64 {
+	m := cl.hist[ts]
+	t.View.Raise(cl.addr, ts) // per-location coherence for this thread
 	if ord.acquires() && m.Rel != nil {
 		t.View.Join(m.Rel)
 	}
 	return m.Val
 }
 
-// Store appends a new message at a.
-func (mc *Machine) Store(t *Thread, a Addr, v int64, ord AccessOrd) {
-	mc.StoreT(t, a, v, ord)
+// StoreT appends a new message at cell c (address a) and returns its
+// timestamp.
+func (mc *Machine) StoreT(t *Thread, c Cell, a Addr, v int64, ord AccessOrd) int {
+	return mc.store(t, mc.loc(c, a), c, v, ord)
 }
 
-// StoreT is Store additionally reporting the timestamp of the new
-// message.
-func (mc *Machine) StoreT(t *Thread, a Addr, v int64, ord AccessOrd) int {
-	h := mc.history(a)
-	m := Msg{Val: v, TS: len(h)}
+func (mc *Machine) store(t *Thread, cl *cell, c Cell, v int64, ord AccessOrd) int {
+	ts := len(cl.hist)
+	t.View.Raise(cl.addr, ts)
+	m := Msg{Val: v, TS: ts}
 	if ord.releases() {
-		m.Rel = t.View.Clone()
-		m.Rel[a] = m.TS
+		lo := len(mc.arena)
+		mc.arena = append(mc.arena, t.View.ents...)
+		m.Rel = mc.arena[lo:len(mc.arena):len(mc.arena)]
 	}
-	mc.hist[a] = append(h, m)
-	mc.noteAppend(a, m)
-	t.View[a] = m.TS
-	return m.TS
+	if cl.hashed == len(cl.hist) {
+		mc.pending = append(mc.pending, c)
+	}
+	cl.hist = append(cl.hist, m)
+	return ts
 }
 
 // RMWResult reports the outcome of a read-modify-write. ReadTS is the
@@ -198,28 +228,24 @@ type RMWResult struct {
 // on match, appends nv. Atomic read-modify-writes always read the newest
 // message (exclusives fail otherwise on real hardware, retrying until
 // current).
-func (mc *Machine) CmpXchg(t *Thread, a Addr, expected, nv int64, ord AccessOrd) RMWResult {
-	h := mc.history(a)
-	newest := len(h) - 1
-	old := mc.finishLoad(t, a, ord.loadPart(), newest)
+func (mc *Machine) CmpXchg(t *Thread, c Cell, a Addr, expected, nv int64, ord AccessOrd) RMWResult {
+	cl := mc.loc(c, a)
+	newest := len(cl.hist) - 1
+	old := mc.finishLoad(t, cl, ord.loadPart(), newest)
 	if old != expected {
 		return RMWResult{Old: old, ReadTS: newest, WriteTS: -1}
 	}
-	wts := mc.StoreT(t, a, nv, ord.storePart())
+	wts := mc.store(t, cl, c, nv, ord.storePart())
 	return RMWResult{Old: old, Swapped: true, ReadTS: newest, WriteTS: wts}
 }
 
-// RMW atomically applies f to the newest value at a.
-func (mc *Machine) RMW(t *Thread, a Addr, f func(int64) int64, ord AccessOrd) int64 {
-	return mc.RMWT(t, a, f, ord).Old
-}
-
-// RMWT is RMW additionally reporting the message timestamps involved.
-func (mc *Machine) RMWT(t *Thread, a Addr, f func(int64) int64, ord AccessOrd) RMWResult {
-	h := mc.history(a)
-	newest := len(h) - 1
-	old := mc.finishLoad(t, a, ord.loadPart(), newest)
-	wts := mc.StoreT(t, a, f(old), ord.storePart())
+// RMWT atomically applies f to the newest value at a and reports the
+// message timestamps involved.
+func (mc *Machine) RMWT(t *Thread, c Cell, a Addr, f func(int64) int64, ord AccessOrd) RMWResult {
+	cl := mc.loc(c, a)
+	newest := len(cl.hist) - 1
+	old := mc.finishLoad(t, cl, ord.loadPart(), newest)
+	wts := mc.store(t, cl, c, f(old), ord.storePart())
 	return RMWResult{Old: old, Swapped: true, ReadTS: newest, WriteTS: wts}
 }
 
@@ -261,26 +287,15 @@ func (mc *Machine) Fence(t *Thread, staticOrd int) {
 	// matters for acquire/release fences.
 	switch staticOrd {
 	case 2: // acquire
-		t.View.Join(mc.scView)
+		t.View.Join(mc.scView.ents)
 	case 3: // release
-		if mc.scView.Join(t.View) {
+		if mc.scView.Join(t.View.ents) {
 			mc.scDirty = true
 		}
 	default: // seq_cst and acq_rel
-		t.View.Join(mc.scView)
-		if mc.scView.Join(t.View) {
+		t.View.Join(mc.scView.ents)
+		if mc.scView.Join(t.View.ents) {
 			mc.scDirty = true
 		}
 	}
 }
-
-// Newest returns the newest value at a (debugging and final-state
-// assertions).
-func (mc *Machine) Newest(a Addr) int64 {
-	h := mc.history(a)
-	return h[len(h)-1].Val
-}
-
-// HistoryLen returns the number of messages at a (including the initial
-// message), used by tests and state hashing.
-func (mc *Machine) HistoryLen(a Addr) int { return len(mc.history(a)) }

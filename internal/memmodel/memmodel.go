@@ -62,38 +62,13 @@ func (m Model) Or(def Model) Model {
 // Addr is a memory cell address.
 type Addr uint64
 
-// View maps locations to the minimum message timestamp a thread must
-// observe. Missing entries mean timestamp 0 (the initial message).
-type View map[Addr]int
-
-// Join raises v to include o, returning whether v changed.
-func (v View) Join(o View) bool {
-	changed := false
-	for a, ts := range o {
-		if v[a] < ts {
-			v[a] = ts
-			changed = true
-		}
-	}
-	return changed
-}
-
-// Clone returns a copy of the view.
-func (v View) Clone() View {
-	c := make(View, len(v))
-	for a, ts := range v {
-		c[a] = ts
-	}
-	return c
-}
-
 // Msg is one write in a location's history.
 type Msg struct {
 	Val int64
 	TS  int
 	// Rel is the view released with the message (release/SC stores and
-	// RMWs); nil for relaxed stores.
-	Rel View
+	// RMWs); nil for relaxed stores. It is a read-only snapshot.
+	Rel []ViewEntry
 }
 
 // AccessOrd is the effective ordering of one dynamic access after the

@@ -12,33 +12,34 @@ type fixedOracle struct {
 	i     int
 }
 
-func (o *fixedOracle) PickRead(_ Addr, eligible []int) int {
+func (o *fixedOracle) PickRead(_ Addr, n int) int {
 	if o.i < len(o.picks) {
 		p := o.picks[o.i]
 		o.i++
-		if p < len(eligible) {
+		if p < n {
 			return p
 		}
 	}
-	return len(eligible) - 1
+	return n - 1
 }
 
 func TestViewJoin(t *testing.T) {
-	a := View{1: 3, 2: 1}
-	b := View{2: 5, 4: 2}
-	if !a.Join(b) {
+	a := viewOf(map[Addr]int{1: 3, 2: 1})
+	b := viewOf(map[Addr]int{2: 5, 4: 2})
+	if !a.Join(b.ents) {
 		t.Fatal("join reported no change")
 	}
-	if a[1] != 3 || a[2] != 5 || a[4] != 2 {
-		t.Fatalf("join result %v", a)
+	if a.Floor(1) != 3 || a.Floor(2) != 5 || a.Floor(4) != 2 {
+		t.Fatalf("join result %v", a.ents)
 	}
-	if a.Join(b) {
+	if a.Join(b.ents) {
 		t.Fatal("second join changed view")
 	}
-	c := a.Clone()
-	c[1] = 99
-	if a[1] != 3 {
-		t.Fatal("clone aliases original")
+	var c View
+	c.Join(a.ents)
+	c.Raise(1, 99)
+	if a.Floor(1) != 3 {
+		t.Fatal("join aliases the joined view")
 	}
 }
 
@@ -145,11 +146,11 @@ func TestRMWReadsNewest(t *testing.T) {
 	mc := NewMachine(ModelWMM, &fixedOracle{})
 	t0, t1 := NewThread(), NewThread()
 	mc.Store(t0, 1, 5, OrdRelaxed)
-	r := mc.CmpXchg(t1, 1, 5, 9, OrdAcqRel)
+	r := mc.CmpXchg(t1, 1, 1, 5, 9, OrdAcqRel)
 	if !r.Swapped || r.Old != 5 {
 		t.Fatalf("cmpxchg = %+v", r)
 	}
-	r = mc.CmpXchg(t0, 1, 5, 7, OrdAcqRel)
+	r = mc.CmpXchg(t0, 1, 1, 5, 7, OrdAcqRel)
 	if r.Swapped {
 		t.Fatalf("stale cmpxchg succeeded: %+v", r)
 	}
@@ -181,12 +182,12 @@ func TestForkJoinViews(t *testing.T) {
 	parent := NewThread()
 	mc.Store(parent, 1, 7, OrdRelaxed)
 	child := parent.Fork()
-	if child.View[1] != parent.View[1] {
+	if child.View.Floor(1) != parent.View.Floor(1) {
 		t.Fatal("fork lost view")
 	}
 	mc.Store(child, 2, 9, OrdRelaxed)
 	parent.JoinThread(child)
-	if parent.View[2] != child.View[2] {
+	if parent.View.Floor(2) != child.View.Floor(2) {
 		t.Fatal("join lost view")
 	}
 }
@@ -207,9 +208,9 @@ func TestCoherenceProperty(t *testing.T) {
 		}
 		last := -1
 		for i := 0; i < len(picks); i++ {
-			before := r.View[Addr(1)]
+			before := r.View.Floor(1)
 			mc.Load(r, 1, OrdRelaxed)
-			after := r.View[Addr(1)]
+			after := r.View.Floor(1)
 			if after < before || after < last {
 				return false
 			}

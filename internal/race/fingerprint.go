@@ -1,11 +1,5 @@
 package race
 
-import (
-	"sort"
-
-	"repro/internal/memmodel"
-)
-
 // Fingerprint hashes the detector's happens-before state: the thread
 // clocks, every location's write/read epochs and synchronization
 // clocks, and the global fence clock. The model checker mixes this into
@@ -38,14 +32,10 @@ func (d *Detector) Fingerprint() uint64 {
 	}
 	mixVC(d.scClock)
 
-	addrs := make([]memmodel.Addr, 0, len(d.locs))
-	for a := range d.locs {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		l := d.locs[a]
-		mix(uint64(a))
+	d.orderTouched()
+	for _, c := range d.order {
+		l := d.locs.At(c)
+		mix(uint64(l.addr))
 		if l.hasWrite {
 			mix(uint64(l.write.thread)<<32 | uint64(l.write.clock))
 		} else {
@@ -58,4 +48,23 @@ func (d *Detector) Fingerprint() uint64 {
 		mixVC(l.sync)
 	}
 	return h
+}
+
+// orderTouched extends d.order, the touched cells sorted by address,
+// with the cells touched since the last call. Cells are numbered in
+// address order except overflow cells, and an execution touches a
+// handful of new locations between two visible steps, so insertion
+// keeps the order without a sort per call.
+func (d *Detector) orderTouched() {
+	for _, c := range d.touched[d.nOrdered:] {
+		a := d.locs.At(c).addr
+		i := len(d.order)
+		d.order = append(d.order, c)
+		for i > 0 && d.locs.At(d.order[i-1]).addr > a {
+			d.order[i] = d.order[i-1]
+			i--
+		}
+		d.order[i] = c
+	}
+	d.nOrdered = len(d.touched)
 }

@@ -95,12 +95,18 @@ type accessRec struct {
 // write, the per-thread read epochs since that write, and the release
 // clock attached to each message of the location's history.
 type locState struct {
+	addr memmodel.Addr
+	// live marks a location this execution touched (listed in
+	// Detector.touched).
+	live     bool
 	write    accessRec
 	hasWrite bool
 	reads    []accessRec
-	// rel maps a view-machine message timestamp to the vector clock the
-	// writer released with it — the detector's mirror of Msg.Rel.
-	rel map[int]VC
+	// rel holds, by view-machine message timestamp, the vector clock the
+	// writer released with the message — the detector's mirror of
+	// Msg.Rel. Timestamps are dense per location; an empty clock means
+	// the message released nothing.
+	rel []VC
 	// sync accumulates every release to the location; it is the
 	// synchronization clock used when no message timestamp is available
 	// (the flat SC backend), mirroring how an SC machine orders all
@@ -116,12 +122,21 @@ type Detector struct {
 	model  memmodel.Model
 	opts   Options
 	clocks []VC
-	locs   map[memmodel.Addr]*locState
+	// locs is the per-location state, indexed by the VM's cell numbers
+	// (vm.AccessEvent.Cell) and reused across executions; touched lists
+	// the cells this execution touched, and order the first nOrdered of
+	// them sorted by address (see Fingerprint).
+	locs     memmodel.Cells[locState]
+	touched  []memmodel.Cell
+	order    []memmodel.Cell
+	nOrdered int
 	// scClock mirrors the machine's global SC view for fence
 	// synchronization.
 	scClock VC
 	reports []*Report
 	seen    map[string]*Report
+	// sites memoizes each access site's rendering (SiteString).
+	sites map[*ir.Instr]string
 	// execStart is len(reports) at the last BeginExec, so callers can
 	// tell whether the current execution contributed new findings.
 	execStart int
@@ -145,6 +160,7 @@ func New(model memmodel.Model, opts Options) *Detector {
 	opts.MaxReports = resolveMaxReports(opts.MaxReports)
 	d := &Detector{
 		model: model.Or(memmodel.ModelSC), opts: opts, seen: make(map[string]*Report),
+		sites:     make(map[*ir.Instr]string),
 		cAccesses: opts.Obs.Counter("race.accesses_observed"),
 		cReports:  opts.Obs.Counter("race.reports_recorded"),
 	}
@@ -158,7 +174,16 @@ func New(model memmodel.Model, opts Options) *Detector {
 // a scheduler-mode sweep) and deduplicate findings across them.
 func (d *Detector) BeginExec() {
 	d.clocks = d.clocks[:0]
-	d.locs = make(map[memmodel.Addr]*locState)
+	for _, c := range d.touched {
+		l := d.locs.At(c)
+		for i := range l.rel {
+			l.rel[i] = l.rel[i][:0]
+		}
+		*l = locState{reads: l.reads[:0], rel: l.rel[:0], sync: l.sync[:0]}
+	}
+	d.touched = d.touched[:0]
+	d.order = d.order[:0]
+	d.nOrdered = 0
 	d.scClock = nil
 	d.execStart = len(d.reports)
 }
@@ -185,12 +210,14 @@ func (d *Detector) ensure(t int) {
 	}
 }
 
-// loc returns (creating) the state of address a.
-func (d *Detector) loc(a memmodel.Addr) *locState {
-	l := d.locs[a]
-	if l == nil {
-		l = &locState{rel: make(map[int]VC)}
-		d.locs[a] = l
+// loc returns the state of the accessed location, listing it on first
+// touch.
+func (d *Detector) loc(ev vm.AccessEvent) *locState {
+	l := d.locs.At(ev.Cell)
+	if !l.live {
+		l.live = true
+		l.addr = ev.Addr
+		d.touched = append(d.touched, ev.Cell)
 	}
 	return l
 }
@@ -209,9 +236,16 @@ func (d *Detector) ordered(rec accessRec, t int) bool {
 // in the location's sync clock, and advances t's own component so later
 // accesses are not covered by this publication.
 func (d *Detector) release(t int, l *locState, writeTS int) {
-	rc := d.clocks[t].clone()
+	rc := d.clocks[t]
 	if writeTS >= 0 {
-		l.rel[writeTS] = rc
+		for len(l.rel) <= writeTS {
+			if len(l.rel) < cap(l.rel) {
+				l.rel = l.rel[:len(l.rel)+1] // the spare clock was emptied by BeginExec
+			} else {
+				l.rel = append(l.rel, nil)
+			}
+		}
+		l.rel[writeTS] = append(l.rel[writeTS][:0], rc...)
 	}
 	l.sync.join(rc)
 	d.clocks[t][t]++
@@ -222,8 +256,8 @@ func (d *Detector) release(t int, l *locState, writeTS int) {
 // accumulated sync clock otherwise (flat SC backend).
 func (d *Detector) acquire(t int, l *locState, readTS int) {
 	if readTS >= 0 {
-		if rc, ok := l.rel[readTS]; ok {
-			d.clocks[t].join(rc)
+		if readTS < len(l.rel) && len(l.rel[readTS]) > 0 {
+			d.clocks[t].join(l.rel[readTS])
 		}
 		return
 	}
@@ -255,7 +289,7 @@ func (d *Detector) OnAccess(ev vm.AccessEvent) {
 // then the read-vs-write race check, then the read epoch update.
 func (d *Detector) read(ev vm.AccessEvent, eo memmodel.AccessOrd, atomic bool) {
 	t := ev.Thread
-	l := d.loc(ev.Addr)
+	l := d.loc(ev)
 	if eo.Acquires() {
 		d.acquire(t, l, ev.ReadTS)
 	}
@@ -281,7 +315,7 @@ func (d *Detector) read(ev vm.AccessEvent, eo memmodel.AccessOrd, atomic bool) {
 // synchronization.
 func (d *Detector) write(ev vm.AccessEvent, eo memmodel.AccessOrd, atomic bool) {
 	t := ev.Thread
-	l := d.loc(ev.Addr)
+	l := d.loc(ev)
 	rec := accessRec{
 		thread: t, clock: d.clocks[t][t],
 		write: true, atomic: atomic, ord: ev.Ord, site: ev.Instr,
@@ -360,7 +394,7 @@ func (d *Detector) OnBarrier(participants []int) {
 // report records a race, deduplicating by the (unordered) pair of
 // access sites so one racy loop does not flood the findings.
 func (d *Detector) report(a memmodel.Addr, prior, cur accessRec) {
-	k1, k2 := SiteString(prior.site), SiteString(cur.site)
+	k1, k2 := d.siteString(prior.site), d.siteString(cur.site)
 	if k2 < k1 {
 		k1, k2 = k2, k1
 	}
@@ -382,6 +416,16 @@ func (d *Detector) report(a memmodel.Addr, prior, cur accessRec) {
 	d.seen[key] = r
 	d.reports = append(d.reports, r)
 	d.cReports.Inc()
+}
+
+// siteString renders an access site once per detector (SiteString).
+func (d *Detector) siteString(in *ir.Instr) string {
+	s, ok := d.sites[in]
+	if !ok {
+		s = SiteString(in)
+		d.sites[in] = s
+	}
+	return s
 }
 
 func (d *Detector) clockOf(t int) VC {

@@ -122,7 +122,7 @@ func TestPortedProgramsRaceFree(t *testing.T) {
 			// Only the atomig-ported programs must also run clean: the
 			// naive all-SC port eliminates races, but this machine's SC
 			// atomics deliberately keep weak outcomes unless fenced (see
-			// memmodel.EligibleReads), so sb's assert may still trip.
+			// memmodel's eligible-read rule), so sb's assert may still trip.
 			if v := res.Violations(); tc.port == "atomig" && len(v) != 0 {
 				t.Fatalf("ported %s (%s) failed executions: %v", tc.name, tc.port, v)
 			}

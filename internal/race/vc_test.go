@@ -1,6 +1,10 @@
 package race
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/vm"
+)
 
 func TestVCJoinAndGet(t *testing.T) {
 	a := VC{3, 0, 5}
@@ -45,7 +49,7 @@ func TestFingerprintDeterministicAndSensitive(t *testing.T) {
 		d := New(0, Options{})
 		d.ensure(2)
 		d.clocks[1][1] = 5
-		l := d.loc(64)
+		l := d.loc(vm.AccessEvent{Addr: 64, Cell: 0})
 		l.hasWrite = true
 		l.write = accessRec{thread: 1, clock: 5, write: true}
 		l.sync = VC{0, 5}
@@ -60,7 +64,7 @@ func TestFingerprintDeterministicAndSensitive(t *testing.T) {
 		t.Fatalf("fingerprint insensitive to clock change")
 	}
 	d3 := build()
-	d3.loc(65)
+	d3.loc(vm.AccessEvent{Addr: 65, Cell: 1})
 	if d1.Fingerprint() == d3.Fingerprint() {
 		t.Fatalf("fingerprint insensitive to new location")
 	}

@@ -240,12 +240,12 @@ type cell struct {
 }
 
 // sweeper is one worker's private state, built on its first cell: a
-// detector behind its sampler, and the pooled VM with the controller
-// shell that is reseeded per schedule.
+// detector behind its sampler, and the pooled VM driven by the worker
+// scheduler that is reseeded per schedule.
 type sweeper struct {
 	det *race.Detector
 	smp *sampler
-	ctl *reseed
+	ctl *vm.WorkerScheduler
 	v   *vm.VM
 	// resets and allocs count this worker's VM reuses and builds.
 	resets, allocs int64
@@ -307,11 +307,11 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 			// worker does not make the merged (sorted, capped) set
 			// depend on how the grid was partitioned.
 			det := race.New(opts.Model, race.Options{MaxReports: 4 * opts.MaxReports, Obs: opts.Obs})
-			sw = &sweeper{det: det, smp: newSampler(det, opts.Model, opts.Sample), ctl: &reseed{}}
+			sw = &sweeper{det: det, smp: newSampler(det, opts.Model, opts.Sample), ctl: vm.NewWorkerScheduler()}
 			ws[w] = sw
 		}
 		sc := scheduleOf(opts, i)
-		sw.ctl.inner = vm.NewScheduler(sc.Mode, sc.Seed)
+		sw.ctl.Reseed(sc.Mode, sc.Seed)
 		sw.smp.begin(mix(uint64(sc.Seed)))
 		sw.det.BeginExec()
 		var err error
@@ -486,17 +486,6 @@ func countRan(cells []cell) int {
 	}
 	return n
 }
-
-// reseed is the pooled VM's controller shell: the worker swaps the
-// seeded scheduler behind it between Reset calls, so one VM serves
-// every schedule of the worker's share of the grid.
-type reseed struct{ inner vm.Scheduler }
-
-func (r *reseed) PickThread(runnable []int) int { return r.inner.PickThread(runnable) }
-func (r *reseed) PickRead(a memmodel.Addr, eligible []int) int {
-	return r.inner.PickRead(a, eligible)
-}
-func (r *reseed) PickNondet(max int) int { return r.inner.PickNondet(max) }
 
 // Replay re-executes one schedule exactly — same scheduler seed, same
 // sampling salt — with a fresh full-history detector, optionally with

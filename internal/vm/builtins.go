@@ -42,7 +42,7 @@ func (v *VM) call(t *thread, in *ir.Instr) (bool, error) {
 		// into an empty view equals cloning (zero timestamps are absent in
 		// both representations).
 		mm := v.allocMM()
-		mm.View.Join(t.mm.View)
+		mm.JoinThread(t.mm)
 		child := v.newThread(fr.Fn, mm)
 		if v.hook != nil {
 			v.hook.OnSpawn(t.id, child.id)
@@ -93,13 +93,14 @@ func (v *VM) call(t *thread, in *ir.Instr) (bool, error) {
 			return true, nil
 		}
 		// Last arrival: synchronize all participants and release.
-		joined := memmodel.NewThread()
+		joined := &v.barrierView
+		joined.Reset()
 		for _, id := range bs.waiting {
-			joined.View.Join(v.threads[id].mm.View)
+			joined.JoinThread(v.threads[id].mm)
 		}
 		for _, id := range bs.waiting {
 			p := v.threads[id]
-			p.mm.View.Join(joined.View)
+			p.mm.JoinThread(joined)
 			p.state = tRunnable
 			v.touch(id)
 		}
@@ -126,6 +127,9 @@ func (v *VM) call(t *thread, in *ir.Instr) (bool, error) {
 		}
 		addr := v.heapNext
 		v.heapNext += memmodel.Addr(size)
+		// The dense heap only grows within an execution, so no cell changes
+		// its number when heapNext wraps.
+		v.heapCells = max(v.heapCells, min(v.heapNext-heapBase, maxDenseCells-v.nGlobal))
 		t.frame().regs[in.ID] = int64(addr)
 		t.cycles += c.Call
 		return false, nil

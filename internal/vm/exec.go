@@ -33,6 +33,10 @@ type frame struct {
 	params     []int64
 	callInstr  *ir.Instr // caller instruction awaiting the return value
 	savedStack memmodel.Addr
+	// hashBlk and hashWord cache the state-hash identity word of the
+	// block the frame was in when last hashed (see hash.go).
+	hashBlk  *ir.Block
+	hashWord uint64
 }
 
 type thread struct {
@@ -56,6 +60,9 @@ type thread struct {
 	// fence drain cost.
 	dirtyShared bool
 	dirtyHot    bool
+	// stack holds the thread's stack slots by offset from its stack
+	// base, up to its high-water mark (see memory.go).
+	stack []cellState
 }
 
 func (t *thread) frame() *frame { return t.frames[len(t.frames)-1] }
@@ -71,35 +78,52 @@ type barrierState struct {
 
 // VM is one execution instance.
 type VM struct {
-	mod      *ir.Module
-	opts     Options
-	ctrl     Controller
-	mem      memory
-	hook     Hook
-	useView  bool
-	threads  []*thread
-	globals  map[string]memmodel.Addr
+	mod     *ir.Module
+	opts    Options
+	ctrl    Controller
+	hook    Hook
+	threads []*thread
+	// mc is the view machine; nil selects the flat sequentially
+	// consistent backend, which keeps every value in cellState.val.
+	mc *memmodel.Machine
+	// globals maps global names to addresses; globalAddr resolves global
+	// operands by pointer, memoizing the name lookup (an operand need not
+	// belong to the module, and an unknown name is address 0); funcIndex
+	// memoizes FuncRef operands' function indices.
+	globals    map[string]memmodel.Addr
+	globalAddr map[*ir.Global]memmodel.Addr
+	funcIndex  map[*ir.Func]int
+	// Cell layout (memory.go): nGlobal dense global cells, then heapCells
+	// dense heap cells. initVals holds the globals' initial values up to
+	// the last nonzero one; initOver those of global cells past the dense
+	// bound; initAcc the flat hash of all of them (flat backend).
+	nGlobal   memmodel.Addr
+	heapCells memmodel.Addr
+	initVals  []int64
+	initOver  map[memmodel.Addr]int64
+	initAcc   uint64
+	// cells is the VM-side state of shared cells; touched lists the cells
+	// this execution changed, for Reset; overflow numbers the overflow
+	// cells of this execution; flatAcc is the incremental hash of the
+	// flat-stored cells.
+	cells    memmodel.Cells[cellState]
+	touched  []memmodel.Cell
+	overflow map[memmodel.Addr]memmodel.Cell
+	flatAcc  uint64
 	heapNext memmodel.Addr
 	res      *Result
 	barriers map[int64]*barrierState
 	halted   bool
-	// lastWriter tracks cache-line ownership for the contention
-	// surcharge of the cost model; sharedWith tracks which threads have
-	// re-read a cell since its last write (a MESI shared-state sketch);
-	// multiWritten marks cells written more than once, separating
-	// actively mutated cells (whose cross-thread reads ping-pong) from
-	// write-once data (whose cold-fill cost the baseline pays too).
-	lastWriter   map[memmodel.Addr]int
-	sharedWith   map[memmodel.Addr]uint32
-	multiWritten map[memmodel.Addr]bool
 	// runBuf is reused by Runnable to avoid a per-step allocation.
 	runBuf []int
 	// Incremental state-hash caches (see hash.go): threadHash[i] is the
 	// cached component hash of threads[i], recomputed when threadDirty[i];
-	// hashBuf is the reusable serialization scratch.
+	// blockWords memoizes each block's identity word.
 	threadHash  []uint64
 	threadDirty []bool
-	hashBuf     []byte
+	blockWords  map[*ir.Block]uint64
+	// barrierView is the scratch view a barrier release joins into.
+	barrierView memmodel.Thread
 	// Free lists for Reset-based VM reuse: finished frames, thread shells
 	// and memmodel views are recycled instead of reallocated, which is
 	// what makes one VM cheap to drive across millions of model-checker
@@ -111,25 +135,26 @@ type VM struct {
 
 // chargeWrite applies the write cost including the contention surcharge
 // for atomic writes to cells last written by another thread, and
-// invalidates the cell's shared state.
-func (v *VM) chargeWrite(t *thread, a memmodel.Addr, atomic bool, base int64) {
+// invalidates the cell's shared state. own reports a write to the
+// thread's own stack.
+func (v *VM) chargeWrite(t *thread, cs *cellState, own, atomic bool, base int64) {
 	t.cycles += base
-	owner, written := v.lastWriter[a]
-	foreign := written && owner != t.id
+	written := cs.writer != 0
+	foreign := written && int(cs.writer-1) != t.id
 	if atomic && foreign {
 		t.cycles += v.opts.Costs.Contended
 	}
-	if !t.ownStack(a) {
+	if !own {
 		t.dirtyShared = true
 		if foreign {
 			t.dirtyHot = true
 		}
 	}
 	if written {
-		v.multiWritten[a] = true
+		cs.multi = true
 	}
-	v.lastWriter[a] = t.id
-	delete(v.sharedWith, a)
+	cs.writer = int32(t.id + 1)
+	cs.shared = 0
 }
 
 // chargeLoad applies the load cost plus the invalidation surcharge:
@@ -137,42 +162,27 @@ func (v *VM) chargeWrite(t *thread, a memmodel.Addr, atomic bool, base int64) {
 // another thread refetches the line. Atomic loads pay the full fill
 // (LDAR stalls the pipeline); plain loads pay the residue out-of-order
 // execution cannot hide.
-func (v *VM) chargeLoad(t *thread, a memmodel.Addr, base int64, atomic bool) {
+func (v *VM) chargeLoad(t *thread, cs *cellState, base int64, atomic bool) {
 	t.cycles += base
-	owner, ok := v.lastWriter[a]
-	if !ok || owner == t.id || !v.multiWritten[a] {
+	if cs.writer == 0 || int(cs.writer-1) == t.id || !cs.multi {
 		return
 	}
 	bit := uint32(1) << uint(t.id%32)
-	if v.sharedWith[a]&bit == 0 {
+	if cs.shared&bit == 0 {
 		if atomic {
 			t.cycles += v.opts.Costs.ContendedLoad
 		} else {
 			t.cycles += v.opts.Costs.ContendedPlain
 		}
-		v.sharedWith[a] |= bit
+		cs.shared |= bit
 	}
 }
 
-// oracleAdapter routes the view machine's read choices through the
-// controller.
-type oracleAdapter struct{ ctrl Controller }
-
-// PickRead delegates to the controller.
-func (o oracleAdapter) PickRead(a memmodel.Addr, eligible []int) int {
-	return o.ctrl.PickRead(a, eligible)
-}
-
-// UseViewMemory reports whether the options select the view machine:
-// any non-SC model needs it to exhibit weak behaviors; pure performance
-// runs pass ModelSC (or set Controller to nil and Model to SC) and get
-// the fast flat backend. The model checker always runs with a weak
-// model.
-func useViewMemory(opts Options) bool { return opts.Model != memmodel.ModelSC }
-
-// New prepares an execution of the module's entry threads. Internal
-// panics (e.g. global layout over malformed types) are contained and
-// returned as structured errors.
+// New prepares an execution of the module's entry threads. Any model
+// but SC runs on the view machine, which exhibits weak behaviors; ModelSC
+// runs on the flat backend, whose cycle counts are the same and whose
+// histories never grow. Internal panics (e.g. global layout over
+// malformed types) are contained and returned as structured errors.
 func New(m *ir.Module, opts Options) (v *VM, err error) {
 	defer diag.Guard("vm.New", &err)
 	if len(opts.Entries) == 0 {
@@ -190,51 +200,81 @@ func New(m *ir.Module, opts Options) (v *VM, err error) {
 		ctrl = NewRandomController(opts.Seed)
 	}
 	v = &VM{
-		mod:          m,
-		opts:         opts,
-		ctrl:         ctrl,
-		hook:         opts.Hook,
-		useView:      useViewMemory(opts),
-		globals:      make(map[string]memmodel.Addr),
-		heapNext:     heapBase,
-		res:          &Result{},
-		barriers:     make(map[int64]*barrierState),
-		lastWriter:   make(map[memmodel.Addr]int),
-		sharedWith:   make(map[memmodel.Addr]uint32),
-		multiWritten: make(map[memmodel.Addr]bool),
+		mod:        m,
+		opts:       opts,
+		ctrl:       ctrl,
+		hook:       opts.Hook,
+		globals:    make(map[string]memmodel.Addr, len(m.Globals)),
+		globalAddr: make(map[*ir.Global]memmodel.Addr, len(m.Globals)),
+		heapNext:   heapBase,
+		res:        &Result{},
+		barriers:   make(map[int64]*barrierState),
 	}
 	if opts.Profile {
 		v.res.FuncCycles = make(map[string]int64)
 	}
-	if v.useView {
-		v.mem = newViewMem(opts.Model, oracleAdapter{ctrl})
-	} else {
-		v.mem = newFlatMem()
+	if opts.Model != memmodel.ModelSC {
+		v.mc = memmodel.NewMachine(opts.Model, ctrl) // the controller picks weak reads
 	}
-	// Lay out globals; the addresses are a function of the module only
-	// and stay valid across Reset.
-	next := memmodel.Addr(globalBase)
-	for _, g := range m.Globals {
-		v.globals[g.GName] = next
-		next += memmodel.Addr(g.Elem.Cells())
-	}
+	v.layoutGlobals()
 	if err := v.start(); err != nil {
 		return nil, err
 	}
 	return v, nil
 }
 
-// start applies the per-execution initial state: global initial values
-// and the entry threads. Shared by New and Reset.
-func (v *VM) start() error {
+// layoutGlobals lays out the globals and computes their initial values
+// once; the addresses and values are a function of the module only and
+// stay valid across Reset.
+func (v *VM) layoutGlobals() {
+	next := memmodel.Addr(globalBase)
+	for _, g := range v.mod.Globals {
+		v.globals[g.GName] = next
+		next += memmodel.Addr(g.Elem.Cells())
+	}
+	v.nGlobal = min(next-globalBase, maxDenseCells)
+	for _, g := range v.mod.Globals {
+		v.globalAddr[g] = v.globals[g.GName]
+	}
 	for _, g := range v.mod.Globals {
 		base := v.globals[g.GName]
 		for i, val := range g.Init {
-			if val != 0 {
-				v.mem.setInit(base+memmodel.Addr(i), val)
+			if val == 0 {
+				continue
 			}
+			a := base + memmodel.Addr(i)
+			off := a - globalBase
+			if off >= v.nGlobal {
+				if v.initOver == nil {
+					v.initOver = make(map[memmodel.Addr]int64)
+				}
+				v.initOver[a] = val
+				continue
+			}
+			if int(off) >= len(v.initVals) {
+				v.initVals = append(v.initVals, make([]int64, int(off)+1-len(v.initVals))...)
+			}
+			v.initVals[off] = val
 		}
 	}
+	if v.mc != nil {
+		v.mc.SetInits(v.initVals)
+		return
+	}
+	for c, val := range v.initVals {
+		if val != 0 {
+			v.cells.At(memmodel.Cell(c)).val = val
+			v.initAcc ^= cellHash(globalBase+memmodel.Addr(c), val)
+		}
+	}
+	for a, val := range v.initOver {
+		v.initAcc ^= cellHash(a, val)
+	}
+	v.flatAcc = v.initAcc
+}
+
+// start creates the entry threads. Shared by New and Reset.
+func (v *VM) start() error {
 	for _, name := range v.opts.Entries {
 		fn := v.mod.Func(name)
 		if fn == nil {
@@ -251,10 +291,11 @@ func (v *VM) start() error {
 
 // Reset restores the VM to its pristine pre-execution state — as if
 // freshly built by New with the same module and options — while keeping
-// every allocation: memory maps, thread shells, frames and memmodel
-// views are recycled through the VM's free lists. The model checker
-// drives one VM per worker through millions of executions this way
-// instead of paying an allocation storm per replay.
+// every allocation: cell tables, thread shells, frames and memmodel
+// views are recycled, and only the cells the execution touched are
+// cleared. The model checker drives one VM per worker through millions
+// of executions this way instead of paying an allocation storm per
+// replay.
 func (v *VM) Reset() (err error) {
 	defer diag.Guard("vm.Reset", &err)
 	for _, t := range v.threads {
@@ -269,11 +310,9 @@ func (v *VM) Reset() (err error) {
 	}
 	v.halted = false
 	v.heapNext = heapBase
+	v.heapCells = 0
 	clear(v.barriers)
-	clear(v.lastWriter)
-	clear(v.sharedWith)
-	clear(v.multiWritten)
-	v.mem.reset()
+	v.resetMemory()
 	return v.start()
 }
 
@@ -292,6 +331,8 @@ func (v *VM) allocMM() *memmodel.Thread {
 // recycleThread returns a thread's frames, view and shell to the free
 // lists.
 func (v *VM) recycleThread(t *thread) {
+	clear(t.stack)
+	t.stack = t.stack[:0]
 	v.framePool = append(v.framePool, t.frames...)
 	if t.mm != nil {
 		v.mmPool = append(v.mmPool, t.mm)
@@ -333,8 +374,8 @@ func (v *VM) newThread(fn *ir.Func, mm *memmodel.Thread) *thread {
 	if n := len(v.threadPool); n > 0 {
 		t = v.threadPool[n-1]
 		v.threadPool = v.threadPool[:n-1]
-		frames := t.frames[:0]
-		*t = thread{frames: frames}
+		frames, stack := t.frames[:0], t.stack[:0]
+		*t = thread{frames: frames, stack: stack}
 	} else {
 		t = &thread{}
 	}
@@ -420,7 +461,7 @@ func (v *VM) Run() (res *Result, err error) {
 			return v.res, nil
 		}
 		ti := v.ctrl.PickThread(run)
-		if err := v.Step(v.threads[ti]); err != nil {
+		if _, err := v.exec(v.threads[ti]); err != nil {
 			return nil, err
 		}
 	}
@@ -475,14 +516,6 @@ func (v *VM) StepThread(ti int) (err error) {
 	return nil
 }
 
-// Step executes a single instruction of t. Internal panics are
-// contained and returned as structured errors.
-func (v *VM) Step(t *thread) (err error) {
-	defer diag.Guard("vm.Step", &err)
-	_, err = v.exec(t)
-	return err
-}
-
 // Result returns the (possibly still accumulating) result.
 func (v *VM) Result() *Result { return v.res }
 
@@ -495,14 +528,26 @@ func (v *VM) eval(t *thread, val ir.Value) int64 {
 	case *ir.ConstInt:
 		return x.V
 	case *ir.Global:
-		return int64(v.globals[x.GName])
+		a, ok := v.globalAddr[x]
+		if !ok {
+			a = v.globals[x.GName]
+			v.globalAddr[x] = a
+		}
+		return int64(a)
 	case *ir.Param:
 		return t.frame().params[x.Index]
 	case *ir.Instr:
 		return t.frame().regs[x.ID]
 	case *ir.FuncRef:
+		if i, ok := v.funcIndex[x.Fn]; ok {
+			return int64(i)
+		}
 		for i, f := range v.mod.Funcs {
 			if f == x.Fn {
+				if v.funcIndex == nil {
+					v.funcIndex = make(map[*ir.Func]int)
+				}
+				v.funcIndex[x.Fn] = i
 				return int64(i)
 			}
 		}
@@ -571,7 +616,8 @@ func (v *VM) execInstr(t *thread) (bool, error) {
 			return false, fmt.Errorf("vm: stack overflow in @%s", f.fn.Name)
 		}
 		for i := 0; i < cells; i++ {
-			v.mem.rawset(addr+memmodel.Addr(i), 0)
+			a := addr + memmodel.Addr(i)
+			v.setFlat(a, v.stackCell(a, true), 0)
 		}
 		f.regs[in.ID] = int64(addr)
 		t.cycles += c.Arith
@@ -579,31 +625,33 @@ func (v *VM) execInstr(t *thread) (bool, error) {
 
 	case ir.OpLoad:
 		a := memmodel.Addr(v.eval(t, in.Args[0]))
-		val, rts := v.mem.load(t, a, in.Ord)
+		cell, cs, shared := v.resolve(a)
+		val, rts := v.load(t, cell, cs, a, shared, in.Ord)
 		f.regs[in.ID] = val
-		v.chargeLoad(t, a, c.accessCost(in.Ord, false), in.Ord.Atomic() && in.Ord != ir.Relaxed)
+		v.chargeLoad(t, cs, c.accessCost(in.Ord, false), in.Ord.Atomic() && in.Ord != ir.Relaxed)
 		if in.Ord.Atomic() {
 			v.res.Counters.AtomicLoads++
 		} else {
 			v.res.Counters.NonAtomicLoads++
 		}
-		if v.hook != nil && !isStackAddr(a) {
-			v.hookAccess(t, a, AccessLoad, in, rts, -1)
+		if v.hook != nil && shared {
+			v.hookAccess(t, a, cell, AccessLoad, in, rts, -1)
 		}
 		return !t.ownStack(a), nil
 
 	case ir.OpStore:
 		a := memmodel.Addr(v.eval(t, in.Args[0]))
 		val := v.eval(t, in.Args[1])
-		wts := v.mem.store(t, a, val, in.Ord)
-		v.chargeWrite(t, a, in.Ord.Atomic(), c.accessCost(in.Ord, true))
+		cell, cs, shared := v.resolve(a)
+		wts := v.store(t, cell, cs, a, shared, val, in.Ord)
+		v.chargeWrite(t, cs, t.ownStack(a), in.Ord.Atomic(), c.accessCost(in.Ord, true))
 		if in.Ord.Atomic() {
 			v.res.Counters.AtomicStores++
 		} else {
 			v.res.Counters.NonAtomicStores++
 		}
-		if v.hook != nil && !isStackAddr(a) {
-			v.hookAccess(t, a, AccessStore, in, -1, wts)
+		if v.hook != nil && shared {
+			v.hookAccess(t, a, cell, AccessStore, in, -1, wts)
 		}
 		return !t.ownStack(a), nil
 
@@ -611,33 +659,37 @@ func (v *VM) execInstr(t *thread) (bool, error) {
 		a := memmodel.Addr(v.eval(t, in.Args[0]))
 		exp := v.eval(t, in.Args[1])
 		nv := v.eval(t, in.Args[2])
-		old, swapped, rts, wts := v.mem.cmpxchg(t, a, exp, nv, in.Ord)
+		cell, cs, shared := v.resolve(a)
+		old, swapped, rts, wts := v.cmpxchg(t, cell, cs, a, shared, exp, nv, in.Ord)
 		f.regs[in.ID] = old
-		v.chargeWrite(t, a, true, c.RMW)
+		v.chargeWrite(t, cs, t.ownStack(a), true, c.RMW)
 		v.res.Counters.RMWs++
-		if v.hook != nil && !isStackAddr(a) {
+		if v.hook != nil && shared {
 			kind := AccessRMW
 			if !swapped {
 				kind = AccessCasFail
 			}
-			v.hookAccess(t, a, kind, in, rts, wts)
+			v.hookAccess(t, a, cell, kind, in, rts, wts)
 		}
 		return true, nil
 
 	case ir.OpRMW:
 		a := memmodel.Addr(v.eval(t, in.Args[0]))
 		operand := v.eval(t, in.Args[1])
-		old, rts, wts := v.mem.rmw(t, a, rmwFunc(in.RMW, operand), in.Ord)
+		cell, cs, shared := v.resolve(a)
+		old, rts, wts := v.rmw(t, cell, cs, a, shared, rmwFunc(in.RMW, operand), in.Ord)
 		f.regs[in.ID] = old
-		v.chargeWrite(t, a, true, c.RMW)
+		v.chargeWrite(t, cs, t.ownStack(a), true, c.RMW)
 		v.res.Counters.RMWs++
-		if v.hook != nil && !isStackAddr(a) {
-			v.hookAccess(t, a, AccessRMW, in, rts, wts)
+		if v.hook != nil && shared {
+			v.hookAccess(t, a, cell, AccessRMW, in, rts, wts)
 		}
 		return true, nil
 
 	case ir.OpFence:
-		v.mem.fence(t, in.Ord)
+		if v.mc != nil {
+			v.mc.Fence(t.mm, int(in.Ord))
+		}
 		if v.hook != nil {
 			v.hook.OnFence(t.id, in.Ord)
 		}
@@ -831,7 +883,7 @@ func (v *VM) Snapshot() map[string][]int64 {
 		base := v.globals[g.GName]
 		cells := make([]int64, g.Elem.Cells())
 		for i := range cells {
-			cells[i] = v.mem.final(base + memmodel.Addr(i))
+			cells[i] = v.final(base + memmodel.Addr(i))
 		}
 		out[g.GName] = cells
 	}

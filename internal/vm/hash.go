@@ -1,8 +1,10 @@
 package vm
 
 import (
-	"encoding/binary"
-	"hash/fnv"
+	"math/bits"
+
+	"repro/internal/ir"
+	"repro/internal/memmodel"
 )
 
 // StateHash returns a hash of the complete execution state: every
@@ -15,10 +17,10 @@ import (
 // The hash is incremental: per-thread component hashes are cached and
 // recomputed only for threads marked dirty since the last call (the
 // stepping thread, spawn children, barrier releases, join resolution),
-// and the memory backends maintain their contribution as mutations
-// happen (memmodel.Machine.StateAcc, flatMem.acc). Between two visible
-// steps only one or two threads move, so the per-step cost drops from
-// serializing the full state to serializing one thread.
+// and the memory contribution is maintained per cell as it changes
+// (memmodel.Machine.StateAcc, VM.flatAcc). Between two visible steps
+// only one or two threads move, so the per-step cost is hashing one
+// thread.
 func (v *VM) StateHash() uint64 {
 	h := uint64(14695981039346656037)
 	for i, t := range v.threads {
@@ -28,7 +30,7 @@ func (v *VM) StateHash() uint64 {
 		}
 		h = h*1099511628211 ^ v.threadHash[i]
 	}
-	return h*1099511628211 ^ v.mem.stateAcc()
+	return h*1099511628211 ^ v.stateAcc()
 }
 
 // touch marks thread ti's cached component hash stale. Every mutation
@@ -37,32 +39,72 @@ func (v *VM) StateHash() uint64 {
 // resolution in Runnable.
 func (v *VM) touch(ti int) { v.threadDirty[ti] = true }
 
-// hashThread serializes one thread's control state, frames and memory
-// view into the reusable buffer and hashes it.
+// mixWord folds one 64-bit word into a running hash: a 64x64->128-bit
+// multiply folded to 64 bits, so every input bit reaches every output
+// bit within two words.
+func mixWord(h, w uint64) uint64 {
+	hi, lo := bits.Mul64(h^w, 0x9e3779b97f4a7c15)
+	return hi ^ lo
+}
+
+// hashThread hashes one thread's control state, frames and memory view
+// word by word: each frame contributes its block's identity word, its
+// instruction pointer, registers and parameters.
 func (v *VM) hashThread(t *thread) uint64 {
-	buf := v.hashBuf[:0]
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.state))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.barrierN))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.stackNext))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(t.frames)))
+	h := uint64(0x243f6a8885a308d3)
+	h = mixWord(h, uint64(t.state))
+	h = mixWord(h, uint64(t.barrierN))
+	h = mixWord(h, uint64(t.stackNext))
+	h = mixWord(h, uint64(len(t.frames)))
 	for _, fr := range t.frames {
-		buf = append(buf, fr.fn.Name...)
-		buf = append(buf, 0)
-		buf = append(buf, fr.blk.Name...)
-		buf = append(buf, 0)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(fr.ip))
-		for _, r := range fr.regs {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(r))
+		if fr.hashBlk != fr.blk {
+			fr.hashBlk, fr.hashWord = fr.blk, v.blockWord(fr.blk)
 		}
+		h = mixWord(h, fr.hashWord)
+		h = mixWord(h, uint64(fr.ip))
+		for _, r := range fr.regs {
+			h = mixWord(h, uint64(r))
+		}
+		h = mixWord(h, uint64(len(fr.params)))
 		for _, p := range fr.params {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
+			h = mixWord(h, uint64(p))
 		}
 	}
 	if t.mm != nil {
-		buf = binary.LittleEndian.AppendUint64(buf, t.mm.View.StateHash())
+		h = mixWord(h, t.mm.View.StateHash())
 	}
-	v.hashBuf = buf
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum64()
+	return memmodel.Mix64(h)
+}
+
+// blockWord returns the identity word of a block: a hash of its
+// function's and its own name, computed once per block per VM. Hashing
+// names, not block numbers, keeps the equality classes of the
+// name-based hash this one replaced (TestStateHashSplitsLikeOld).
+func (v *VM) blockWord(b *ir.Block) uint64 {
+	if w, ok := v.blockWords[b]; ok {
+		return w
+	}
+	h := uint64(0x13198a2e03707344)
+	h = mixString(h, b.Fn.Name)
+	h = mixString(h, b.Name)
+	if v.blockWords == nil {
+		v.blockWords = make(map[*ir.Block]uint64)
+	}
+	v.blockWords[b] = h
+	return h
+}
+
+// mixString folds a string, terminated by its length, into h.
+func mixString(h uint64, s string) uint64 {
+	for len(s) >= 8 {
+		h = mixWord(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+		s = s[8:]
+	}
+	var w uint64
+	for i := 0; i < len(s); i++ {
+		w |= uint64(s[i]) << (8 * i)
+	}
+	h = mixWord(h, w)
+	return mixWord(h, uint64(len(s))|1<<63)
 }

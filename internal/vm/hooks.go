@@ -46,6 +46,10 @@ type AccessEvent struct {
 	Thread int
 	// Addr is the cell address accessed.
 	Addr memmodel.Addr
+	// Cell is the VM's dense number for Addr (see memmodel.Cell), valid
+	// for the current execution; observers index per-location state by
+	// it.
+	Cell memmodel.Cell
 	// Kind classifies the operation.
 	Kind AccessKind
 	// Ord is the static memory ordering of the instruction; observers
@@ -87,9 +91,9 @@ type Hook interface {
 // hookAccess reports a shared access when a hook is installed. The
 // caller guarantees v.hook != nil checks stay on the fast path — this
 // helper is only reached behind them.
-func (v *VM) hookAccess(t *thread, a memmodel.Addr, kind AccessKind, in *ir.Instr, rts, wts int) {
+func (v *VM) hookAccess(t *thread, a memmodel.Addr, c memmodel.Cell, kind AccessKind, in *ir.Instr, rts, wts int) {
 	v.hook.OnAccess(AccessEvent{
-		Thread: t.id, Addr: a, Kind: kind, Ord: in.Ord,
+		Thread: t.id, Addr: a, Cell: c, Kind: kind, Ord: in.Ord,
 		ReadTS: rts, WriteTS: wts, Instr: in,
 	})
 }

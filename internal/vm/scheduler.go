@@ -114,20 +114,62 @@ func splitmix(x uint64) uint64 {
 // NewScheduler returns the seeded scheduler for the mode. The same
 // (mode, seed) pair always produces the same decision sequence.
 func NewScheduler(mode SchedMode, seed int64) Scheduler {
-	rng := rand.New(rand.NewSource(seed))
+	w := NewWorkerScheduler()
+	w.Reseed(mode, seed)
+	return w.cur
+}
+
+// WorkerScheduler is the scheduler a sweep worker reseeds for each
+// schedule of its share of the grid: one generator and one scheduler of
+// each mode, so a schedule allocates nothing. After Reseed(mode, seed)
+// it makes exactly the decisions of NewScheduler(mode, seed), because
+// Rand.Seed restores the stream of a freshly seeded source.
+type WorkerScheduler struct {
+	rng     *rand.Rand
+	cur     Scheduler
+	random  RandomController
+	starve  starveScheduler
+	delay   delayScheduler
+	reorder reorderScheduler
+	burst   burstScheduler
+}
+
+// NewWorkerScheduler returns a worker scheduler; call Reseed before
+// each schedule.
+func NewWorkerScheduler() *WorkerScheduler {
+	return &WorkerScheduler{rng: rand.New(rand.NewSource(1))}
+}
+
+// Reseed starts the mode's scheduler afresh on seed.
+func (w *WorkerScheduler) Reseed(mode SchedMode, seed int64) {
+	w.rng.Seed(seed)
 	switch mode {
 	case SchedStarve:
-		return &starveScheduler{rng: rng}
+		w.starve = starveScheduler{rng: w.rng}
+		w.cur = &w.starve
 	case SchedDelay:
-		return &delayScheduler{rng: rng}
+		w.delay = delayScheduler{rng: w.rng}
+		w.cur = &w.delay
 	case SchedReorder:
-		return &reorderScheduler{rng: rng}
+		w.reorder = reorderScheduler{rng: w.rng}
+		w.cur = &w.reorder
 	case SchedBurst:
-		return &burstScheduler{rng: rng}
+		w.burst = burstScheduler{rng: w.rng}
+		w.cur = &w.burst
 	default:
-		return NewRandomController(seed)
+		w.random = RandomController{Rng: w.rng}
+		w.cur = &w.random
 	}
 }
+
+// PickThread implements Controller.
+func (w *WorkerScheduler) PickThread(runnable []int) int { return w.cur.PickThread(runnable) }
+
+// PickRead implements Controller.
+func (w *WorkerScheduler) PickRead(a memmodel.Addr, n int) int { return w.cur.PickRead(a, n) }
+
+// PickNondet implements Controller.
+func (w *WorkerScheduler) PickNondet(max int) int { return w.cur.PickNondet(max) }
 
 // starveScheduler starves one victim thread; the victim rotates
 // occasionally so every thread takes a turn being the one that never
@@ -159,21 +201,29 @@ func (s *starveScheduler) PickThread(runnable []int) int {
 	if s.rng.Intn(64) == 0 {
 		return runnable[s.rng.Intn(len(runnable))]
 	}
-	others := make([]int, 0, len(runnable))
+	others := 0
 	for _, ti := range runnable {
 		if ti != victim {
-			others = append(others, ti)
+			others++
 		}
 	}
-	if len(others) == 0 {
+	if others == 0 {
 		return runnable[s.rng.Intn(len(runnable))]
 	}
-	return others[s.rng.Intn(len(others))]
+	// The k-th runnable thread that is not the victim.
+	k := s.rng.Intn(others)
+	for _, ti := range runnable {
+		if ti != victim {
+			if k == 0 {
+				return ti
+			}
+			k--
+		}
+	}
+	panic("unreachable")
 }
 
-func (s *starveScheduler) PickRead(_ memmodel.Addr, eligible []int) int {
-	return len(eligible) - 1
-}
+func (s *starveScheduler) PickRead(_ memmodel.Addr, n int) int { return n - 1 }
 
 func (s *starveScheduler) PickNondet(max int) int { return s.rng.Intn(max) }
 
@@ -188,14 +238,14 @@ func (s *delayScheduler) PickThread(runnable []int) int {
 	return runnable[s.rng.Intn(len(runnable))]
 }
 
-func (s *delayScheduler) PickRead(_ memmodel.Addr, eligible []int) int {
+func (s *delayScheduler) PickRead(_ memmodel.Addr, n int) int {
 	switch s.rng.Intn(4) {
 	case 0, 1:
 		return 0 // oldest eligible message
 	case 2:
-		return s.rng.Intn(len(eligible))
+		return s.rng.Intn(n)
 	default:
-		return len(eligible) - 1
+		return n - 1
 	}
 }
 
@@ -214,8 +264,8 @@ func (s *reorderScheduler) PickThread(runnable []int) int {
 	return runnable[s.next%len(runnable)]
 }
 
-func (s *reorderScheduler) PickRead(_ memmodel.Addr, eligible []int) int {
-	return s.rng.Intn(len(eligible))
+func (s *reorderScheduler) PickRead(_ memmodel.Addr, n int) int {
+	return s.rng.Intn(n)
 }
 
 func (s *reorderScheduler) PickNondet(max int) int { return s.rng.Intn(max) }
@@ -239,11 +289,11 @@ func (s *burstScheduler) PickThread(runnable []int) int {
 	return s.cur
 }
 
-func (s *burstScheduler) PickRead(_ memmodel.Addr, eligible []int) int {
-	if len(eligible) == 1 || s.rng.Intn(8) != 0 {
-		return len(eligible) - 1
+func (s *burstScheduler) PickRead(_ memmodel.Addr, n int) int {
+	if n == 1 || s.rng.Intn(8) != 0 {
+		return n - 1
 	}
-	return s.rng.Intn(len(eligible))
+	return s.rng.Intn(n)
 }
 
 func (s *burstScheduler) PickNondet(max int) int { return s.rng.Intn(max) }

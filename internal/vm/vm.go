@@ -27,9 +27,10 @@ import (
 type Controller interface {
 	// PickThread selects one of the runnable thread indices.
 	PickThread(runnable []int) int
-	// PickRead selects an index into the eligible message list of a weak
-	// load.
-	PickRead(addr memmodel.Addr, eligible []int) int
+	// PickRead selects which of the n eligible messages a weak load at
+	// addr reads: an index in [0, n), oldest eligible message first. The
+	// eligible messages are always a contiguous run ending at the newest.
+	PickRead(addr memmodel.Addr, n int) int
 	// PickNondet returns a value in [0, max) for a nondet() builtin.
 	PickNondet(max int) int
 }
@@ -51,11 +52,11 @@ func (c *RandomController) PickThread(runnable []int) int {
 // PickRead selects the newest message with high probability and a stale
 // one occasionally, mimicking how rarely weak behaviors occur on real
 // hardware (the paper cites their low observed probability).
-func (c *RandomController) PickRead(_ memmodel.Addr, eligible []int) int {
-	if len(eligible) == 1 || c.Rng.Intn(8) != 0 {
-		return len(eligible) - 1
+func (c *RandomController) PickRead(_ memmodel.Addr, n int) int {
+	if n == 1 || c.Rng.Intn(8) != 0 {
+		return n - 1
 	}
-	return c.Rng.Intn(len(eligible))
+	return c.Rng.Intn(n)
 }
 
 // PickNondet returns a uniform value in [0, max).
