@@ -233,6 +233,7 @@ fuzz-smoke:
 	$(GO) test -run none -fuzz FuzzAliasExplore -fuzztime $(FUZZTIME) ./internal/alias
 	$(GO) test -run none -fuzz FuzzLocality -fuzztime $(FUZZTIME) ./internal/analysis
 	$(GO) test -run none -fuzz FuzzMinimize -fuzztime $(FUZZTIME) ./internal/stress
+	$(GO) test -run none -fuzz FuzzSessionEdit -fuzztime $(FUZZTIME) ./internal/serve
 
 clean:
 	$(GO) clean ./...

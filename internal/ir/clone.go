@@ -26,11 +26,7 @@ func CloneModule(m *Module) (*Module, error) {
 	}
 	// First create all function shells so calls and FuncRefs can resolve.
 	for _, f := range m.Funcs {
-		nf := &Func{Name: f.Name, RetTy: f.RetTy, NoInline: f.NoInline, nextID: f.nextID}
-		for _, p := range f.Params {
-			nf.Params = append(nf.Params, &Param{PName: p.PName, Ty: p.Ty, Index: p.Index})
-		}
-		if err := out.AddFunc(nf); err != nil {
+		if err := out.AddFunc(shell(f)); err != nil {
 			return nil, fmt.Errorf("ir: clone: %w", err)
 		}
 	}
@@ -52,9 +48,21 @@ func MustClone(m *Module) *Module {
 	return out
 }
 
-// CloneFuncInto clones the body of src into dst (which must already have
-// matching params registered in dst's module). Used by CloneModule and by
-// the inliner's work copies.
+// shell returns a body-less copy of f: its name, signature and
+// instruction-ID watermark.
+func shell(f *Func) *Func {
+	nf := &Func{Name: f.Name, RetTy: f.RetTy, NoInline: f.NoInline, nextID: f.nextID}
+	for _, p := range f.Params {
+		nf.Params = append(nf.Params, &Param{PName: p.PName, Ty: p.Ty, Index: p.Index})
+	}
+	return nf
+}
+
+// cloneFuncBody clones the body of src into dst, a shell of src
+// registered in outMod, binding globals and function references to
+// outMod's by name. A reference to a function outMod lacks keeps src's
+// target, so Verify reports it by name. Used by CloneModule and
+// ReplaceFuncs.
 func cloneFuncBody(outMod *Module, src, dst *Func) {
 	blockMap := make(map[*Block]*Block, len(src.Blocks))
 	for _, b := range src.Blocks {
@@ -80,7 +88,10 @@ func cloneFuncBody(outMod *Module, src, dst *Func) {
 		case *Param:
 			return paramMap[x]
 		case *FuncRef:
-			return &FuncRef{Fn: outMod.Func(x.Fn.Name)}
+			if fn := outMod.Func(x.Fn.Name); fn != nil {
+				return &FuncRef{Fn: fn}
+			}
+			return x
 		case *Instr:
 			if x.ID >= 0 && x.ID < len(byID) && byID[x.ID] != nil {
 				return byID[x.ID]

@@ -82,6 +82,119 @@ func TestVerifyCatchesUnknownCallee(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesDanglingReferences: a spawn of a removed function
+// and a call that does not match its callee's signature are rejected
+// by name, before the cloner resolves the reference or the inliner
+// maps arguments to parameters and the result to a return slot.
+func TestVerifyCatchesDanglingReferences(t *testing.T) {
+	m, err := ParseModule(`@g = global i64
+
+define i64 @leaf(i64 %a) {
+entry:
+  ret %a
+}
+
+define void @worker() {
+entry:
+  %t0 = call i64 @leaf(1)
+  store %t0, @g
+  ret void
+}
+
+define void @main_thread() {
+entry:
+  call void @spawn(@worker)
+  ret void
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removed := m.Derive(m.Funcs)
+	removed.RemoveFunc("worker")
+	if err := Verify(removed); err == nil || !strings.Contains(err.Error(), "reference to unknown function @worker") {
+		t.Errorf("Verify after removing a spawned function: %v, want a reference to unknown function @worker", err)
+	}
+	f, err := ParseFunc(m, "define i64 @leaf(i64 %a, i64 %b) {\nentry:\n  ret %b\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	widened := m.Derive(m.Funcs)
+	widened.ReplaceFuncs(f)
+	if err := Verify(widened); err == nil || !strings.Contains(err.Error(), "call to @leaf passes 1 arguments, want 2") {
+		t.Errorf("Verify after widening a callee: %v, want an argument-count error", err)
+	}
+	f, err = ParseFunc(m, "define void @leaf(i64 %a) {\nentry:\n  ret void\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	voided := m.Derive(m.Funcs)
+	voided.ReplaceFuncs(f)
+	if err := Verify(voided); err == nil || !strings.Contains(err.Error(), "call to @leaf expects i64, the function returns void") {
+		t.Errorf("Verify after voiding a callee: %v, want a result-type error", err)
+	}
+	if err := Verify(m); err != nil {
+		t.Errorf("the derived modules' edits reached the original: %v", err)
+	}
+}
+
+// TestParseFuncAndReplaceFuncs: a delta parsed in a module's context
+// may call its functions and spawn ones its batch adds, in either
+// order; installed copies reference the module's own functions, and the
+// module they were derived from is left as it was.
+func TestParseFuncAndReplaceFuncs(t *testing.T) {
+	m := buildSpinModule(t)
+	before := m.String()
+	texts := []string{
+		"define void @starter() {\nentry:\n  call void @spawn(@helper)\n  %t1 = call i64 @reader()\n  store %t1, @msg\n  ret void\n}\n",
+		"define void @helper() {\nentry:\n  call void @spawn(@helper)\n  call void @writer()\n  ret void\n}\n",
+	}
+	var fs []*Func
+	for _, text := range texts {
+		f, err := ParseFunc(m, text)
+		if err != nil {
+			t.Fatalf("ParseFunc: %v", err)
+		}
+		fs = append(fs, f)
+	}
+	next := m.Derive(m.Funcs)
+	next.ReplaceFuncs(fs...)
+	if err := Verify(next); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if got := len(next.Funcs); got != 4 || next.Funcs[2].Name != "starter" || next.Funcs[3].Name != "helper" {
+		t.Fatalf("functions after the batch: %d, want reader, writer, starter, helper", got)
+	}
+	next.EachInstr(func(f *Func, in *Instr) {
+		for _, a := range in.Args {
+			if r, ok := a.(*FuncRef); ok && next.Func(r.Fn.Name) != r.Fn {
+				t.Errorf("@%s references a @%s that is not the module's", f.Name, r.Fn.Name)
+			}
+		}
+	})
+	if next.Func("reader") != m.Func("reader") {
+		t.Errorf("the derived module copied an unchanged function")
+	}
+	if m.String() != before || m.Func("starter") != nil {
+		t.Errorf("installing the batch changed the module it was derived from")
+	}
+	for _, bad := range []string{"", "@x = global i64\n", texts[0] + texts[1], "define void @f() {\nentry:\n  %t0 = frob\n}\n"} {
+		if _, err := ParseFunc(m, bad); err == nil {
+			t.Errorf("ParseFunc accepted %q", bad)
+		}
+	}
+	// An unknown name parses as a function reference, for Verify of the
+	// module it lands in to reject.
+	f, err := ParseFunc(m, "define void @f() {\nentry:\n  store 1, @nosuch\n  ret void\n}\n")
+	if err != nil {
+		t.Fatalf("ParseFunc: %v", err)
+	}
+	next.ReplaceFuncs(f)
+	if err := Verify(next); err == nil || !strings.Contains(err.Error(), "reference to unknown function @nosuch") {
+		t.Errorf("Verify of an unknown name: %v, want a reference to unknown function @nosuch", err)
+	}
+}
+
 func TestVerifyAcceptsBuiltins(t *testing.T) {
 	m := NewModule("ok")
 	f := &Func{Name: "f", RetTy: Void}

@@ -2,6 +2,8 @@ package ir
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -46,7 +48,6 @@ type Func struct {
 	Params []*Param
 	RetTy  Type
 	Blocks []*Block
-	Mod    *Module
 
 	// NoInline marks functions that the pre-analysis inliner must not
 	// inline (recursive functions, thread entry points).
@@ -171,7 +172,6 @@ func (m *Module) AddFunc(f *Func) error {
 	if _, ok := m.funcIdx[f.Name]; ok {
 		return fmt.Errorf("ir: duplicate function @%s", f.Name)
 	}
-	f.Mod = m
 	m.Funcs = append(m.Funcs, f)
 	m.funcIdx[f.Name] = f
 	return nil
@@ -180,32 +180,50 @@ func (m *Module) AddFunc(f *Func) error {
 // Func looks up a function by name.
 func (m *Module) Func(name string) *Func { return m.funcIdx[name] }
 
-// ReplaceFunc installs a copy of src (a function owned by another
-// module, e.g. one parsed from a delta against a synthetic header) in
-// place of m's like-named function, remapping global and function
-// references into m by name. A function with a new name is appended.
-// This is the module-mutation primitive of the incremental porting
-// service: the daemon applies deltas to a clone and swaps it in only
-// when the whole batch verifies.
-func (m *Module) ReplaceFunc(src *Func) error {
-	nf := &Func{Name: src.Name, RetTy: src.RetTy, NoInline: src.NoInline, nextID: src.nextID}
-	for _, p := range src.Params {
-		nf.Params = append(nf.Params, &Param{PName: p.PName, Ty: p.Ty, Index: p.Index})
+// Derive returns a module with m's name, struct types and globals, and
+// funcs in the given order. Types, globals and functions are shared,
+// not copied, so none of them may be mutated afterwards; adding to,
+// replacing in or removing from the result leaves m untouched. This is
+// how the incremental porting service builds the next version of a
+// module without cloning it.
+func (m *Module) Derive(funcs []*Func) *Module {
+	out := &Module{
+		Name:      m.Name,
+		Structs:   maps.Clone(m.Structs),
+		Globals:   slices.Clip(m.Globals),
+		Funcs:     slices.Clone(funcs),
+		globalIdx: maps.Clone(m.globalIdx),
+		funcIdx:   make(map[string]*Func, len(funcs)),
 	}
-	nf.Mod = m
-	if old := m.funcIdx[src.Name]; old != nil {
-		for i, f := range m.Funcs {
-			if f == old {
-				m.Funcs[i] = nf
-				break
-			}
+	for _, f := range funcs {
+		out.funcIdx[f.Name] = f
+	}
+	return out
+}
+
+// ReplaceFuncs installs fresh copies of srcs (functions owned by other
+// modules, e.g. parsed from deltas). A copy takes the place of m's
+// like-named function; one with a new name is appended, in srcs order,
+// and a later source of a repeated name wins. Copies refer to m's
+// globals and functions by name, the batch's own copies included, so
+// sources may reference each other in any order; a reference to a
+// function m lacks keeps its name for Verify to report.
+func (m *Module) ReplaceFuncs(srcs ...*Func) {
+	fresh := make([]*Func, len(srcs))
+	for i, src := range srcs {
+		nf := shell(src)
+		if _, ok := m.funcIdx[src.Name]; !ok {
+			m.Funcs = append(m.Funcs, nf)
 		}
-	} else {
-		m.Funcs = append(m.Funcs, nf)
+		m.funcIdx[src.Name] = nf
+		fresh[i] = nf
 	}
-	m.funcIdx[src.Name] = nf
-	cloneFuncBody(m, src, nf)
-	return nil
+	for i, f := range m.Funcs {
+		m.Funcs[i] = m.funcIdx[f.Name]
+	}
+	for i, src := range srcs {
+		cloneFuncBody(m, src, fresh[i])
+	}
 }
 
 // RemoveFunc deletes the named function, reporting whether it existed.
@@ -226,11 +244,9 @@ func (m *Module) RemoveFunc(name string) bool {
 	return true
 }
 
-// HeaderString renders the module's struct layouts and globals without
-// any functions — the parse context for a function-level delta.
-func (m *Module) HeaderString() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "; module %s\n", m.Name)
+// writeHeader renders the module's struct layouts and globals.
+func (m *Module) writeHeader(b *strings.Builder) {
+	fmt.Fprintf(b, "; module %s\n", m.Name)
 	names := make([]string, 0, len(m.Structs))
 	for n := range m.Structs {
 		names = append(names, n)
@@ -241,7 +257,7 @@ func (m *Module) HeaderString() string {
 		b.WriteString("\n")
 	}
 	for _, g := range m.Globals {
-		fmt.Fprintf(&b, "@%s = global %s", g.GName, g.Elem)
+		fmt.Fprintf(b, "@%s = global %s", g.GName, g.Elem)
 		if g.Volatile {
 			b.WriteString(" volatile")
 		}
@@ -249,11 +265,10 @@ func (m *Module) HeaderString() string {
 			b.WriteString(" atomic")
 		}
 		if len(g.Init) > 0 {
-			fmt.Fprintf(&b, " init %v", g.Init)
+			fmt.Fprintf(b, " init %v", g.Init)
 		}
 		b.WriteString("\n")
 	}
-	return b.String()
 }
 
 // EachInstr calls fn for every instruction in the module.
@@ -312,7 +327,7 @@ func (m *Module) NumInstrs() int {
 // String renders the whole module in AIR textual syntax.
 func (m *Module) String() string {
 	var b strings.Builder
-	b.WriteString(m.HeaderString())
+	m.writeHeader(&b)
 	for _, f := range m.Funcs {
 		b.WriteString("\n")
 		writeFunc(&b, f)

@@ -38,6 +38,46 @@ type rawFunc struct {
 
 type moduleParser struct {
 	mod *Module
+	// delta marks a ParseFunc parse: mod is only the context, and a
+	// function reference it cannot resolve is kept by name.
+	delta bool
+}
+
+// ParseFunc parses one AIR function definition in the context of m: its
+// struct types, globals and functions resolve against m. The function
+// is neither added to m nor verified. Calls name their callee, and a
+// reference to a function m lacks is kept by name, so a delta may call
+// or spawn functions its batch adds; Module.ReplaceFuncs binds the
+// references where the function is installed, and Verify of that module
+// rejects any left unresolved.
+func ParseFunc(m *Module, text string) (f *Func, err error) {
+	defer diag.Guard("ir.ParseFunc", &err)
+	p := &moduleParser{mod: m, delta: true}
+	lines := strings.Split(text, "\n")
+	var rf *rawFunc
+	for i := 0; i < len(lines); {
+		l := strings.TrimSpace(lines[i])
+		switch {
+		case l == "":
+			i++
+		case strings.HasPrefix(l, "define ") && rf == nil:
+			if rf, i, err = p.parseFuncShell(lines, i); err != nil {
+				return nil, fmt.Errorf("ir: parse: %w", err)
+			}
+		default:
+			return nil, fmt.Errorf("ir: parse: line %d: unexpected %q (want exactly one function definition)", i+1, l)
+		}
+	}
+	if rf == nil {
+		return nil, fmt.Errorf("ir: parse: no function definition")
+	}
+	if err := p.buildInstrShells(rf); err != nil {
+		return nil, fmt.Errorf("ir: parse: %w", err)
+	}
+	if err := p.resolveOperands(rf); err != nil {
+		return nil, fmt.Errorf("ir: parse: %w", err)
+	}
+	return rf.fn, nil
 }
 
 func (p *moduleParser) run(text string) error {
@@ -80,6 +120,9 @@ func (p *moduleParser) run(text string) error {
 			rf, next, err := p.parseFuncShell(lines, i)
 			if err != nil {
 				return err
+			}
+			if err := p.mod.AddFunc(rf.fn); err != nil {
+				return fmt.Errorf("line %d: %w", i+1, err)
 			}
 			fns = append(fns, rf)
 			i = next
@@ -307,9 +350,6 @@ func (p *moduleParser) parseFuncShell(lines []string, i int) (*rawFunc, int, err
 			pname = strings.TrimPrefix(pname, "%")
 			fn.Params = append(fn.Params, &Param{PName: pname, Ty: ty, Index: idx})
 		}
-	}
-	if err := p.mod.AddFunc(fn); err != nil {
-		return nil, 0, fmt.Errorf("line %d: %w", i+1, err)
 	}
 	rf := &rawFunc{fn: fn, instrs: make(map[*Block][]rawInstr)}
 	i++

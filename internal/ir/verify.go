@@ -6,13 +6,28 @@ import (
 
 // Verify checks module well-formedness: every block is terminated, every
 // branch targets a block of the same function, operand types are
-// consistent for memory operations, called functions exist (or are known
-// builtins), and instruction result IDs are unique within each function.
+// consistent for memory operations, called and referenced functions
+// exist (or are known builtins), calls pass as many arguments as their
+// callee has parameters and expect the type it returns, and instruction
+// result IDs are unique within each function. It reports the first
+// failing function in module order.
 func Verify(m *Module) error {
 	for _, f := range m.Funcs {
-		if err := verifyFunc(m, f); err != nil {
-			return fmt.Errorf("ir: function @%s: %w", f.Name, err)
+		if err := VerifyFunc(m, f); err != nil {
+			return err
 		}
+	}
+	return nil
+}
+
+// VerifyFunc checks one function of m as Verify does. The only checks
+// that read beyond f are that its callees and referenced functions are
+// in m and that its calls match their callees' signatures, so
+// after an edit of a verified module only the edited functions and
+// those that call or reference an edited name need checking.
+func VerifyFunc(m *Module, f *Func) error {
+	if err := verifyFunc(m, f); err != nil {
+		return fmt.Errorf("ir: function @%s: %w", f.Name, err)
 	}
 	return nil
 }
@@ -76,6 +91,14 @@ func verifyInstr(m *Module, f *Func, blocks map[*Block]bool, in *Instr) error {
 		if a == nil {
 			return fmt.Errorf("nil operand")
 		}
+		if r, ok := a.(*FuncRef); ok {
+			if r.Fn == nil {
+				return fmt.Errorf("nil function reference")
+			}
+			if m.Func(r.Fn.Name) == nil {
+				return fmt.Errorf("reference to unknown function @%s", r.Fn.Name)
+			}
+		}
 	}
 	switch in.Op {
 	case OpAlloca:
@@ -129,10 +152,15 @@ func verifyInstr(m *Module, f *Func, blocks map[*Block]bool, in *Instr) error {
 			return fmt.Errorf("gep has %d args, expected %d", len(in.Args), 1+dyn)
 		}
 	case OpCall:
-		if m.Func(in.Callee) == nil {
-			if _, ok := Builtins[in.Callee]; !ok {
-				return fmt.Errorf("call to unknown function @%s", in.Callee)
+		if g := m.Func(in.Callee); g != nil {
+			if len(in.Args) != len(g.Params) {
+				return fmt.Errorf("call to @%s passes %d arguments, want %d", in.Callee, len(in.Args), len(g.Params))
 			}
+			if !TypesEqual(in.Ty, g.RetTy) {
+				return fmt.Errorf("call to @%s expects %s, the function returns %s", in.Callee, in.Ty, g.RetTy)
+			}
+		} else if _, ok := Builtins[in.Callee]; !ok {
+			return fmt.Errorf("call to unknown function @%s", in.Callee)
 		}
 	case OpBr:
 		if in.Then == nil || !blocks[in.Then] {

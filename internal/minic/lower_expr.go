@@ -149,7 +149,7 @@ func (fl *funcLowerer) lowerPlace(e Expr) (place, error) {
 		if p, ok := fl.lookup(x.Name); ok {
 			return p, nil
 		}
-		if g := fl.fn.Mod.Global(x.Name); g != nil {
+		if g := fl.c.mod.Global(x.Name); g != nil {
 			return place{addr: g, elem: g.Elem, volatile: g.Volatile, atomic: g.Atomic}, nil
 		}
 		return place{}, fmt.Errorf("line %d: undefined variable %q", x.Line, x.Name)
@@ -577,7 +577,7 @@ func (fl *funcLowerer) lowerCall(x *Call) (ir.Value, error) {
 		if !ok {
 			return nil, fmt.Errorf("line %d: spawn argument must name a function", x.Line)
 		}
-		fn := fl.fn.Mod.Func(id.Name)
+		fn := fl.c.mod.Func(id.Name)
 		if fn == nil {
 			return nil, fmt.Errorf("line %d: spawn of unknown function %q", x.Line, id.Name)
 		}
@@ -621,7 +621,7 @@ func (fl *funcLowerer) lowerCall(x *Call) (ir.Value, error) {
 		return fl.b.Call(ir.I64, x.Name), nil
 	}
 	// User-defined function.
-	callee := fl.fn.Mod.Func(x.Name)
+	callee := fl.c.mod.Func(x.Name)
 	if callee == nil {
 		return nil, fmt.Errorf("line %d: call to undefined function %q", x.Line, x.Name)
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/appgen"
+	"repro/internal/ir"
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
 )
@@ -143,6 +144,99 @@ func TestChaosStorm(t *testing.T) {
 	if int64(anon) != malformed.Load() {
 		t.Errorf("%d anonymous error responses for %d malformed lines", anon, malformed.Load())
 	}
+}
+
+// TestPanicUnderSessionReadLock: a panic while a port copies the
+// snapshot under the session's read lock is answered as internal, and
+// the lock is released, so the recovery's cache poisoning and the next
+// requests on the session go through.
+func TestPanicUnderSessionReadLock(t *testing.T) {
+	leakcheck.Check(t)
+	srv, c := startServer(t, Options{})
+	mustOK(t, c.call(&Request{ID: "load", Op: "load", Name: "small.c", Source: smallSrc}))
+
+	// A snapshot whose copy panics: a function reference to no function.
+	bad := ir.NewModule("bad")
+	f := &ir.Func{Name: "f", RetTy: ir.Void}
+	if err := bad.AddFunc(f); err != nil {
+		t.Fatal(err)
+	}
+	b := ir.NewBuilder(f)
+	b.Call(ir.Void, "spawn", &ir.FuncRef{})
+	b.Ret(nil)
+	sess := srv.lookup("")
+	sess.mu.Lock()
+	good := sess.snap
+	sess.snap = bad
+	sess.mu.Unlock()
+
+	within := func(req *Request) *Response {
+		t.Helper()
+		ch := c.expect(req.ID)
+		c.send(req)
+		select {
+		case r := <-ch:
+			return r
+		case <-time.After(30 * time.Second):
+			t.Fatalf("no response to %q: the session lock is still held", req.ID)
+			return nil
+		}
+	}
+	if r := within(&Request{ID: "boom", Op: "port"}); r.OK || r.ErrKind != ErrInternal {
+		t.Fatalf("port of the broken snapshot: got ok=%t kind=%q (%s), want internal", r.OK, r.ErrKind, r.Error)
+	}
+	mustOK(t, within(&Request{ID: "dump", Op: "dump"}))
+
+	sess.mu.Lock()
+	sess.snap = good
+	sess.mu.Unlock()
+	p := mustOK(t, within(&Request{ID: "port", Op: "port", Emit: true}))
+	if want := cliPortSource(t, "small.c", smallSrc); p.Text != want {
+		t.Errorf("port after the contained panic differs from the CLI port")
+	}
+	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
+}
+
+// TestConcurrentEditsAndPorts: ports run while edits replace functions
+// the snapshots share, and the final port is still the CLI's port of
+// the dumped module.
+func TestConcurrentEditsAndPorts(t *testing.T) {
+	leakcheck.Check(t)
+	src, _ := appgen.GenerateLarge(appgen.LargeSpec("conc.c", 2000, 5))
+	_, c := startServer(t, Options{Workers: 2})
+	mustOK(t, c.call(&Request{ID: "load", Op: "load", Name: "conc.c", Source: src}))
+	base, err := ir.ParseModule(mustOK(t, c.call(&Request{ID: "dump0", Op: "dump"})).Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 12
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			delta := strings.Replace(ir.FuncString(base.Func(fmt.Sprintf("lg_compute%d", i+1))),
+				fmt.Sprintf("@lg_compute%d(", i+1), fmt.Sprintf("@lg_compute%d(", i), 1)
+			if r := c.call(&Request{ID: fmt.Sprintf("edit%d", i), Op: "edit", Replace: []string{delta}}); !r.OK {
+				t.Errorf("edit %d: %s: %s", i, r.ErrKind, r.Error)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if r := c.call(&Request{ID: fmt.Sprintf("port%d", i), Op: "port"}); !r.OK {
+				t.Errorf("port %d: %s: %s", i, r.ErrKind, r.Error)
+			}
+		}
+	}()
+	wg.Wait()
+	dump := mustOK(t, c.call(&Request{ID: "dump1", Op: "dump"}))
+	final := mustOK(t, c.call(&Request{ID: "final", Op: "port", Emit: true}))
+	if final.Text != cliPortAIR(t, dump.Text) {
+		t.Errorf("port after concurrent edits differs from the CLI port of the dumped module")
+	}
+	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
 }
 
 // TestCancelInFlight cancels a request that is genuinely running (held

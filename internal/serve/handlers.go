@@ -48,13 +48,13 @@ func (s *Server) opEdit(ctx context.Context, req *Request, sess *session) *Respo
 	if ctx.Err() != nil {
 		return errResp("", "edit: %v", ctx.Err())
 	}
-	if err := sess.edit(req.Replace, req.Remove); err != nil {
+	rebuilt, reused, err := sess.edit(req.Replace, req.Remove)
+	if err != nil {
 		return errResp(ErrBadRequest, "edit: %v", err)
 	}
-	sess.mu.RLock()
-	funcs := len(sess.base.Funcs)
-	sess.mu.RUnlock()
-	return &Response{OK: true, Module: sess.name, Funcs: funcs}
+	s.lg.Event("serve.snapshot_rebuilt").Str("module", sess.name).
+		Int("rebuilt", int64(rebuilt)).Int("reused", int64(reused)).Emit()
+	return &Response{OK: true, Module: sess.name, Funcs: rebuilt + reused}
 }
 
 // opPort runs the cached pipeline and returns the report (plus the

@@ -348,6 +348,74 @@ func TestProtocolErrors(t *testing.T) {
 	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
 }
 
+// TestEditCallsModuleFunction: a replacement may call and spawn the
+// module's other functions. Only the edited function (it has no
+// callers) misses the cache, and the port is the CLI's port of the
+// dumped module.
+func TestEditCallsModuleFunction(t *testing.T) {
+	leakcheck.Check(t)
+	_, c := startServer(t, Options{})
+	src := `
+int flag;
+int data;
+int helper(int a) { return a + data; }
+void worker(void) { data = helper(1); flag = 1; }
+void other(void) { data = 5; }
+void main_thread(void) { spawn(worker); while (flag == 0) { } assert(data > 0); }
+`
+	mustOK(t, c.call(&Request{ID: "load", Op: "load", Name: "calls.c", Source: src}))
+	mustOK(t, c.call(&Request{ID: "cold", Op: "port"}))
+	delta := "define void @other() {\nentry:\n  %t0 = call i64 @helper(7)\n  store %t0, @data\n  call void @spawn(@worker)\n  ret void\n}\n"
+	mustOK(t, c.call(&Request{ID: "edit", Op: "edit", Replace: []string{delta}}))
+	warm := mustOK(t, c.call(&Request{ID: "warm", Op: "port", Emit: true}))
+	if warm.Report.CacheMisses != 1 || warm.Report.CacheHits == 0 {
+		t.Errorf("port after the edit: hits=%d misses=%d, want 1 miss", warm.Report.CacheHits, warm.Report.CacheMisses)
+	}
+	dump := mustOK(t, c.call(&Request{ID: "dump", Op: "dump"}))
+	if !strings.Contains(dump.Text, "call i64 @helper(7)") {
+		t.Fatalf("dump lacks the edited body:\n%s", dump.Text)
+	}
+	if want := cliPortAIR(t, dump.Text); warm.Text != want {
+		t.Errorf("port after the edit differs from the CLI port of the dumped module")
+	}
+	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
+}
+
+// TestRejectedDeltasLeaveSessionIntact: removing a function another
+// still spawns, and changing the signature its callers use, are
+// rejected deltas naming the function, and the session ports as
+// before.
+func TestRejectedDeltasLeaveSessionIntact(t *testing.T) {
+	leakcheck.Check(t)
+	prog := corpus.Get("tas")
+	if prog == nil {
+		t.Fatal("corpus program tas missing")
+	}
+	_, c := startServer(t, Options{})
+	mustOK(t, c.call(&Request{ID: "load", Op: "load", Name: "tas.c", Source: prog.Source}))
+	want := cliPortSource(t, "tas.c", prog.Source)
+	for i, tc := range []struct {
+		req  *Request
+		text string
+	}{
+		{&Request{Remove: []string{"t0"}}, "reference to unknown function @t0"},
+		{&Request{Replace: []string{"define void @locker(i64 %n) {\nentry:\n  store %n, @data\n  ret void\n}\n"}},
+			"call to @locker passes 0 arguments, want 1"},
+		{&Request{Replace: []string{"define i64 @locker() {\nentry:\n  ret 1\n}\n"}},
+			"call to @locker expects void, the function returns i64"},
+	} {
+		tc.req.ID, tc.req.Op = fmt.Sprintf("edit%d", i), "edit"
+		if r := c.call(tc.req); r.OK || r.ErrKind != ErrBadRequest || !strings.Contains(r.Error, tc.text) {
+			t.Errorf("%s: got ok=%t kind=%q (%s), want bad_request with %q", tc.req.ID, r.OK, r.ErrKind, r.Error, tc.text)
+		}
+		p := mustOK(t, c.call(&Request{ID: fmt.Sprintf("port%d", i), Op: "port", Emit: true}))
+		if p.Text != want {
+			t.Errorf("port after %s differs from the CLI port", tc.req.ID)
+		}
+	}
+	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
+}
+
 // TestSessionsAreIndependent checks that named sessions hold distinct
 // modules and caches.
 func TestSessionsAreIndependent(t *testing.T) {

@@ -3,8 +3,9 @@
 # start `atomig -serve`, load a generated module via path, port to a
 # file, edit one function through the protocol, re-port, and require
 # (a) both ports byte-identical to what the CLI produces for the same
-# module, (b) the re-port re-analyzed exactly the one edited function,
-# and (c) a clean shutdown with exit 0.
+# module, (b) the edit rebuilt exactly one snapshot function and the
+# re-port re-analyzed exactly that one, and (c) a clean shutdown with
+# exit 0.
 #
 # The protocol executes requests on one connection concurrently, so
 # the driver waits for each response before sending an order-dependent
@@ -67,6 +68,14 @@ DELTA=$(sed -n '/@lg_compute1(/,/^}/p' "$DIR/serve-dump0.air" |
 	sed 's/@lg_compute1(/@lg_compute0(/' | awk '{printf "%s\\n", $0}')
 send "{\"id\":\"edit\",\"op\":\"edit\",\"replace\":[\"$DELTA\"]}"
 wait_ok edit
+# The edit rebuilt the edited function's snapshot entry and reused every
+# other one: an uncalled function's edit must not rebuild the snapshot.
+# The daemon logs the event before it answers the edit.
+if ! grep '"ev":"serve.snapshot_rebuilt"' "$DIR/serve-log.jsonl" | grep -q '"rebuilt":1,'; then
+	echo "serve-smoke: the edit did not rebuild exactly 1 snapshot function:" >&2
+	grep '"ev":"serve.snapshot_rebuilt"' "$DIR/serve-log.jsonl" >&2 || echo "(no serve.snapshot_rebuilt event)" >&2
+	exit 1
+fi
 
 # Warm re-port: exactly one cache miss (the edited function), and the
 # output byte-identical to the CLI porting the dumped edited module.
@@ -93,4 +102,4 @@ wait_ok bye
 exec 3>&-
 wait $SRV
 trap - EXIT
-echo "serve-smoke: ok (cold and warm ports byte-identical to CLI, warm re-analysis = 1 function)"
+echo "serve-smoke: ok (cold and warm ports byte-identical to CLI, 1 snapshot function rebuilt, warm re-analysis = 1 function)"
