@@ -43,12 +43,11 @@ fmt-check:
 # Fan-out gate: fails, naming the lines, when a tracked non-test .go
 # file starts a goroutine outside the places allowed to: fanout.Each
 # (the one index-parallel loop), the model checker's work-stealing
-# frontier, the daemon, the live HTTP exporter and the CLI's listener.
-# perfbench/ is a module of its own (the benchmark harness) and is not
-# checked.
-FANOUT_ALLOWED = ':!:internal/fanout/' ':!:internal/mc/parallel.go' ':!:internal/serve/' ':!:internal/obs/http.go' ':!:cmd/atomig/main.go'
+# frontier, the daemon, the live HTTP exporter, the CLI's listener and
+# the benchmark's in-process daemon client (perfbench/serveedit.go).
+FANOUT_ALLOWED = ':!:internal/fanout/' ':!:internal/mc/parallel.go' ':!:internal/serve/' ':!:internal/obs/http.go' ':!:cmd/atomig/main.go' ':!:perfbench/serveedit.go'
 fanout-check:
-	@lines=$$(git ls-files '*.go' ':!:*_test.go' ':!:perfbench/' $(FANOUT_ALLOWED) | \
+	@lines=$$(git ls-files '*.go' ':!:*_test.go' $(FANOUT_ALLOWED) | \
 		xargs grep -nE '^[[:space:]]*go[[:space:]]+(func[[:space:](]|[A-Za-z_][A-Za-z0-9_.]*[[:space:]]*\()'); \
 	if [ -n "$$lines" ]; then echo "goroutines outside fanout.Each (use fanout.Each):"; echo "$$lines"; exit 1; fi
 
@@ -69,12 +68,9 @@ grid-check:
 # in-order merge builds every cross-function structure. The execution
 # engines (vm, memmodel, race, stress) keep their dense per-cell state
 # single-owner: each worker owns its VM, detector and scheduler.
-# internal/atomig/incremental.go is exempt: it holds the daemon's
-# shared detection cache.
 LOCK_CHECKED = internal/ir internal/minic internal/analysis internal/alias internal/transform internal/opt internal/atomig internal/vm internal/memmodel internal/race internal/stress
 lock-check:
-	@lines=$$(git ls-files -- $(LOCK_CHECKED) | grep '\.go$$' | \
-		grep -v -e '_test\.go$$' -e '^internal/atomig/incremental\.go$$' | \
+	@lines=$$(git ls-files -- $(LOCK_CHECKED) | grep '\.go$$' | grep -v '_test\.go$$' | \
 		xargs grep -nHE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.][A-Za-z0-9_]*[[:space:]]+)?"(sync|sync/atomic|unsafe)"[[:space:]]*(//.*)?$$'); \
 	if [ -n "$$lines" ]; then echo "sync, sync/atomic or unsafe in the porting pipeline or an execution engine (write per-index slots from fanout.Each, merge in order; keep engine state per worker):"; echo "$$lines"; exit 1; fi
 

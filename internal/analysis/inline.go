@@ -25,8 +25,7 @@ func DefaultInlineOptions() InlineOptions {
 // loops spanning multiple functions become visible to the
 // intra-procedural spinloop analysis (paper section 3.5: "we inline
 // functions where possible beforehand"). It returns the number of call
-// sites inlined. Recursive functions and functions marked NoInline are
-// never inlined.
+// sites inlined. Recursive functions are never inlined.
 func Inline(m *ir.Module, opts InlineOptions) int {
 	if opts.MaxCalleeInstrs == 0 {
 		opts.MaxCalleeInstrs = 200
@@ -99,7 +98,7 @@ func inlineInto(m *ir.Module, f *ir.Func, recursive map[*ir.Func]bool, maxInstrs
 			return
 		}
 		g := m.Func(in.Callee)
-		if g == nil || g == f || g.NoInline || recursive[g] {
+		if g == nil || g == f || recursive[g] {
 			return
 		}
 		if g.NumInstrs() > maxInstrs {

@@ -90,19 +90,17 @@ type Options struct {
 	// module is left partially transformed — callers that may cancel
 	// should port a clone (PortClone), as the serving daemon does.
 	Context context.Context
-	// Detect, when non-nil, caches per-function detection verdicts
-	// content-addressed by function-body hash (FuncKey), so re-porting a
-	// module after a small edit re-analyzes only the changed functions.
-	// The ported output is byte-identical with or without a cache; see
-	// incremental.go and docs/SERVE.md.
-	Detect DetectCache
-	// FuncHashes optionally supplies precomputed FuncKey values aligned
-	// with m.Funcs, sparing the per-port hashing cost for callers that
-	// own a stable module (the daemon recomputes them once per delta).
-	// Entries must equal FuncKey(CacheSalt(m, opts), f) for the function
-	// at the same index; empty strings (and a wrong-length slice) fall
-	// back to hashing in place. Ignored without Detect.
-	FuncHashes []string
+	// Summaries, when non-nil, holds one detection summary slot per
+	// m.Funcs entry (a different length is an error). A filled slot is
+	// replayed instead of analyzing its function; an empty one, or one
+	// that does not fit its function, is analyzed and filled in place, so
+	// re-porting a module after a small edit re-analyzes only the
+	// functions whose slots the caller emptied. The caller owns the
+	// rule for when a slot still describes its function (same body,
+	// struct layouts, global annotations and options); the ported output
+	// is byte-identical with or without summaries. See incremental.go
+	// and docs/SERVE.md.
+	Summaries []*FuncSummary
 }
 
 // AliasStrategy selects the sticky-buddy mechanism.
@@ -173,8 +171,9 @@ type Report struct {
 	OptHoisted int
 	OptRemoved int
 
-	// Detection-cache statistics (when Options.Detect is set): functions
-	// whose analyses were replayed from the cache vs. re-analyzed.
+	// Detection-summary statistics (when Options.Summaries is set):
+	// functions whose analyses were replayed from a summary vs.
+	// re-analyzed.
 	CacheHits   int
 	CacheMisses int
 
@@ -189,6 +188,9 @@ type Report struct {
 // contained by the diag guard and returned as structured errors.
 func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	defer diag.Guard("atomig.Port", &err)
+	if opts.Summaries != nil && len(opts.Summaries) != len(m.Funcs) {
+		return nil, fmt.Errorf("atomig: %d summary slots for %d functions", len(opts.Summaries), len(m.Funcs))
+	}
 	start := time.Now()
 	workers := opts.Workers
 	if workers < 1 {
@@ -222,21 +224,14 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	// slot. Each worker mutates only the function it holds (the explicit
 	// upgrades); everything cross-function — marking, counting, seed
 	// collection — happens in the in-order merge below, so the results
-	// are identical for every worker count. A DetectCache replays the
-	// expensive analyses for unchanged function bodies (incremental.go);
-	// the alias contributions each function prepares here feed the
-	// phase-3 map build. Accesses that are already atomic (pre-existing
-	// or just upgraded) seed exploration too: "any atomic operations
-	// already found in the program invariably indicate the presence of
-	// concurrent accesses".
-	var salt string
-	if opts.Detect != nil {
-		salt = CacheSalt(m, opts)
-	}
-	hashes := opts.FuncHashes
-	if len(hashes) != len(m.Funcs) {
-		hashes = nil
-	}
+	// are identical for every worker count. A filled summary slot replays
+	// the expensive analyses for its function, and an empty one is filled
+	// by the call holding its index (incremental.go); the alias
+	// contributions each function prepares here feed the phase-3 map
+	// build. Accesses that are already atomic (pre-existing or just
+	// upgraded) seed exploration too: "any atomic operations already
+	// found in the program invariably indicate the presence of concurrent
+	// accesses".
 	det := make([]funcDetect, len(m.Funcs))
 	accs := make([][]alias.Access, len(m.Funcs))
 	hit := make([]bool, len(m.Funcs))
@@ -244,16 +239,11 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 		if err := opts.ctxErr(); err != nil {
 			return err
 		}
-		f := m.Funcs[fi]
-		key := ""
-		if opts.Detect != nil {
-			if hashes != nil && hashes[fi] != "" {
-				key = hashes[fi]
-			} else {
-				key = FuncKey(salt, f)
-			}
+		var slot **FuncSummary
+		if opts.Summaries != nil {
+			slot = &opts.Summaries[fi]
 		}
-		det[fi], accs[fi], hit[fi] = detectFunc(f, opts, key)
+		det[fi], accs[fi], hit[fi] = detectFunc(m.Funcs[fi], opts, slot)
 		return nil
 	})
 	if err != nil {
@@ -266,7 +256,7 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	var optLoops []*analysis.SpinloopInfo
 	for fi := range det {
 		d := &det[fi]
-		if opts.Detect != nil {
+		if opts.Summaries != nil {
 			if hit[fi] {
 				rep.CacheHits++
 			} else {
@@ -380,7 +370,7 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 				return err
 			}
 			f := m.Funcs[fi]
-			fenceCount[fi] = insertOptFences(f, byFn[f], canonOpt, am)
+			fenceCount[fi] = insertOptFences(f, accs[fi], byFn[f], canonOpt, am)
 			return nil
 		})
 		if err != nil {

@@ -1,26 +1,21 @@
-// Incremental detection: per-function analysis verdicts content-addressed
-// by function-body hash. The whole detection phase — dominator trees,
-// natural-loop discovery, influence slices, alias descriptor computation
-// (alias.Reprs), barrier-seed and atomic-access collection, and the
-// explicit-annotation upgrade mutations — is a pure function of the
-// function body (plus the module's struct layouts, global annotations,
-// and the pipeline options, all folded into the cache-key salt), so a
-// long-lived service can cache its outcome and replay it onto a fresh
-// clone of the same function in a single walk. The upgrade mutations
-// replay through the same transform.MakeAccessSC calls the cold path
-// makes, and every ordinal is validated before anything mutates, so a
-// summary that does not fit falls back to full re-analysis and the
-// ported output is byte-identical either way (docs/SERVE.md covers the
-// invalidation rules).
+// Incremental detection: per-function summaries of the detection phase.
+// The whole phase — dominator trees, natural-loop discovery, influence
+// slices, alias descriptor computation (alias.Reprs), barrier-seed and
+// atomic-access collection, and the explicit-annotation upgrade
+// mutations — is a pure function of the function body, the module's
+// struct layouts and global annotations, and the pipeline options. A
+// caller that keeps all of those but the bodies fixed (the serving
+// daemon's session) can keep each function's summary and replay it onto
+// a fresh clone of the same function in a single walk. The upgrade
+// mutations replay through the same transform.MakeAccessSC calls the
+// cold path makes, and every ordinal is validated before anything
+// mutates, so a summary that does not fit falls back to full
+// re-analysis and the ported output is byte-identical either way
+// (docs/SERVE.md covers when the daemon drops a summary).
 package atomig
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"io"
 	"sort"
-	"sync"
 
 	"repro/internal/alias"
 	"repro/internal/analysis"
@@ -28,115 +23,15 @@ import (
 	"repro/internal/transform"
 )
 
-// DetectCache is the seam a long-lived caller (internal/serve) plugs
-// into Options.Detect. Keys are FuncKey hashes; values are immutable
-// after Put. Implementations must be safe for concurrent use — the
-// detection phase calls Get/Put from every pipeline worker.
-type DetectCache interface {
-	Get(key string) (*FuncSummary, bool)
-	Put(key string, s *FuncSummary)
-}
-
-// MemCache is the reference DetectCache: a mutex-guarded map with a
-// wipe switch for poisoning recovery (a request that panicked mid-port
-// may have published summaries computed from corrupted state, so the
-// daemon clears the whole cache — correctness never depends on cache
-// contents, only speed does).
-type MemCache struct {
-	mu sync.RWMutex
-	m  map[string]*FuncSummary
-}
-
-// NewMemCache returns an empty cache.
-func NewMemCache() *MemCache {
-	return &MemCache{m: make(map[string]*FuncSummary)}
-}
-
-// Get implements DetectCache.
-func (c *MemCache) Get(key string) (*FuncSummary, bool) {
-	c.mu.RLock()
-	s, ok := c.m[key]
-	c.mu.RUnlock()
-	return s, ok
-}
-
-// Put implements DetectCache.
-func (c *MemCache) Put(key string, s *FuncSummary) {
-	c.mu.Lock()
-	c.m[key] = s
-	c.mu.Unlock()
-}
-
-// Len returns the number of cached summaries.
-func (c *MemCache) Len() int {
-	c.mu.RLock()
-	n := len(c.m)
-	c.mu.RUnlock()
-	return n
-}
-
-// Clear evicts every entry.
-func (c *MemCache) Clear() {
-	c.mu.Lock()
-	c.m = make(map[string]*FuncSummary)
-	c.mu.Unlock()
-}
-
-// CacheSalt fingerprints everything outside the function body that a
-// cached detection verdict depends on: the detection options, the
-// module's named struct layouts (alias.Reprs navigates struct fields, so
-// two textually identical functions analyze differently under different
-// layouts), and the globals' volatile/atomic annotations (the upgrade
-// mutations replayed from a summary must not leak across modules that
-// annotate the same global differently). Nothing downstream of the
-// port — the -O weakener runs on a ported clone — enters the salt.
-// Ports of modules sharing a salt may share a DetectCache.
-func CacheSalt(m *ir.Module, opts Options) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "atomig.detect/v4|level=%d|polling=%t|barrier=%t\n",
-		opts.Level, opts.DetectPolling, opts.BarrierSeeds)
-	names := make([]string, 0, len(m.Structs))
-	for n := range m.Structs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		io.WriteString(h, m.Structs[n].Layout())
-		io.WriteString(h, "\n")
-	}
-	names = names[:0]
-	anns := make(map[string]string, len(m.Globals))
-	for _, g := range m.Globals {
-		if g.Volatile || g.Atomic {
-			names = append(names, g.GName)
-			anns[g.GName] = fmt.Sprintf("@%s|%t|%t\n", g.GName, g.Volatile, g.Atomic)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		io.WriteString(h, anns[n])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// FuncKey is the detection-cache key of f under salt: a content hash of
-// the (un-ported) function body. Callers that own a stable module may
-// precompute keys once and pass them via Options.FuncHashes.
-func FuncKey(salt string, f *ir.Func) string {
-	h := sha256.New()
-	io.WriteString(h, salt)
-	io.WriteString(h, ir.FuncString(f))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// FuncSummary is one function's cached detection verdict, encoded
+// FuncSummary is one function's detection verdict, encoded
 // positionally (instruction ordinals within the block-order walk, block
 // indices within f.Blocks) so it can be replayed onto any instruction-
 // identical instance of the function. It captures the complete
 // detection-phase result — loop analyses, alias contributions, barrier
 // seeds, pre-annotated atomics, and the explicit-annotation upgrades
-// (the phase's only mutations) — so a cache hit replays the whole
-// phase in a single walk.
+// (the phase's only mutations) — so a replay runs the whole phase in a
+// single walk. It holds no IR pointers, so a kept summary pins no
+// module, and it is never mutated once made.
 type FuncSummary struct {
 	spin     []loopSummary
 	polling  []loopSummary
@@ -271,9 +166,9 @@ func summarizeLoops(infos []*analysis.SpinloopInfo, sc *funcScan) []loopSummary 
 // replay materializes the complete detection result — including the
 // upgrade mutations — against a fresh instance of the same function.
 // Every ordinal is validated before anything is mutated, so a rejected
-// summary (hash collision, corrupted cache entry) leaves the function
-// untouched and ok false — the caller falls back to full re-analysis,
-// the safe degradation mode.
+// summary (one made for another body) leaves the function untouched and
+// ok false — the caller falls back to full re-analysis, the safe
+// degradation mode.
 func (s *FuncSummary) replay(f *ir.Func) (d funcDetect, accs []alias.Access, ok bool) {
 	instrs := flatInstrs(f)
 	if d.spin, ok = replayLoops(s.spin, f, instrs); !ok {
@@ -282,8 +177,9 @@ func (s *FuncSummary) replay(f *ir.Func) (d funcDetect, accs []alias.Access, ok 
 	if d.polling, ok = replayLoops(s.polling, f, instrs); !ok {
 		return funcDetect{}, nil, false
 	}
-	// The i-th cached access must be the i-th memory access of the walk;
-	// the recorded position double-checks the pairing.
+	// The i-th summarized access must be the i-th memory access of the
+	// walk; the recorded position double-checks the pairing.
+	accs = make([]alias.Access, 0, len(s.accesses))
 	pos, ai := 0, 0
 	for _, in := range instrs {
 		pos++
@@ -403,18 +299,17 @@ func replayLoops(sums []loopSummary, f *ir.Func, instrs []*ir.Instr) ([]*analysi
 	return out, true
 }
 
-// detectFunc is the per-function unit of the detection phase. A cache
-// hit replays the entire phase — analyses, seeds, and the upgrade
-// mutations — from the summary in one walk; a miss (or a summary that
-// fails validation) runs the real analyses and publishes a fresh
-// summary. Returns the function's result slot, its prepared alias
-// contributions, and whether the cache served the phase.
-func detectFunc(f *ir.Func, opts Options, key string) (d funcDetect, accs []alias.Access, hit bool) {
-	if opts.Detect != nil && key != "" {
-		if sum, found := opts.Detect.Get(key); found {
-			if d, accs, ok := sum.replay(f); ok {
-				return d, accs, true
-			}
+// detectFunc is the per-function unit of the detection phase. A filled
+// slot replays the entire phase — analyses, seeds, and the upgrade
+// mutations — from its summary in one walk; an empty slot, or a summary
+// that fails validation, runs the real analyses and fills the slot with
+// a fresh summary. slot is nil when the caller keeps no summaries.
+// Returns the function's result slot, its prepared alias contributions,
+// and whether a summary served the phase.
+func detectFunc(f *ir.Func, opts Options, slot **FuncSummary) (d funcDetect, accs []alias.Access, hit bool) {
+	if slot != nil && *slot != nil {
+		if d, accs, ok := (*slot).replay(f); ok {
+			return d, accs, true
 		}
 	}
 
@@ -435,8 +330,8 @@ func detectFunc(f *ir.Func, opts Options, key string) (d funcDetect, accs []alia
 			d.atomics = append(d.atomics, in)
 		}
 	})
-	if opts.Detect != nil && key != "" {
-		opts.Detect.Put(key, summarize(f, d, accs))
+	if slot != nil {
+		*slot = summarize(f, d, accs)
 	}
 	return d, accs, false
 }

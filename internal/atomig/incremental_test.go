@@ -22,18 +22,9 @@ func mustClone(t *testing.T, m *ir.Module) *ir.Module {
 	return c
 }
 
-// inlineLike applies the same inlining pass Port would run under opts,
-// producing the analyzed snapshot a daemon hashes against.
-func inlineLike(t *testing.T, m *ir.Module, opts Options) {
-	t.Helper()
-	if opts.Inline {
-		analysis.Inline(m, opts.InlineOptions)
-	}
-}
-
 // TestDetectCacheByteIdentity is the core incremental contract: porting
-// with a cold cache, porting with a warm cache, and porting without any
-// cache all produce byte-identical modules — the cache only changes how
+// with no summaries, with empty slots, and with the slots that port
+// filled all produce byte-identical modules — summaries only change how
 // the analyses are obtained, never what the port does.
 func TestDetectCacheByteIdentity(t *testing.T) {
 	leakcheck.Check(t)
@@ -46,112 +37,89 @@ func TestDetectCacheByteIdentity(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			base, _ := compileLarge(t, spec)
 
-			ref, _, err := PortClone(base, DefaultOptions())
+			ref, refRep, err := PortClone(base, DefaultOptions())
 			if err != nil {
-				t.Fatalf("uncached port: %v", err)
+				t.Fatalf("port without summaries: %v", err)
 			}
 			want := ref.String()
+			if refRep.CacheHits != 0 || refRep.CacheMisses != 0 {
+				t.Errorf("port without summaries: hits=%d misses=%d, want 0 and 0", refRep.CacheHits, refRep.CacheMisses)
+			}
 
-			cache := NewMemCache()
 			opts := DefaultOptions()
-			opts.Detect = cache
+			opts.Summaries = make([]*FuncSummary, len(base.Funcs))
 			opts.Workers = 4
 
 			cold, coldRep, err := PortClone(base, opts)
 			if err != nil {
-				t.Fatalf("cold port: %v", err)
+				t.Fatalf("port with empty slots: %v", err)
 			}
 			if got := cold.String(); got != want {
-				t.Errorf("cold-cache port differs from uncached port")
+				t.Errorf("port with empty slots differs from the port without summaries")
 			}
-			if coldRep.CacheMisses == 0 || coldRep.CacheHits != 0 {
-				t.Errorf("cold run: hits=%d misses=%d, want 0 hits and >0 misses",
-					coldRep.CacheHits, coldRep.CacheMisses)
+			if coldRep.CacheHits != 0 || coldRep.CacheMisses != len(base.Funcs) {
+				t.Errorf("empty slots: hits=%d misses=%d, want 0 hits and %d misses",
+					coldRep.CacheHits, coldRep.CacheMisses, len(base.Funcs))
 			}
-			if cache.Len() == 0 {
-				t.Errorf("cold run populated no cache entries")
+			for i, sum := range opts.Summaries {
+				if sum == nil {
+					t.Fatalf("slot %d (@%s) left empty by the port", i, base.Funcs[i].Name)
+				}
 			}
 
 			warm, warmRep, err := PortClone(base, opts)
 			if err != nil {
-				t.Fatalf("warm port: %v", err)
+				t.Fatalf("port with filled slots: %v", err)
 			}
 			if got := warm.String(); got != want {
-				t.Errorf("warm-cache port differs from uncached port")
+				t.Errorf("port with filled slots differs from the port without summaries")
 			}
-			if warmRep.CacheMisses != 0 || warmRep.CacheHits == 0 {
-				t.Errorf("warm run: hits=%d misses=%d, want 0 misses and >0 hits",
-					warmRep.CacheHits, warmRep.CacheMisses)
+			if warmRep.CacheMisses != 0 || warmRep.CacheHits != len(base.Funcs) {
+				t.Errorf("filled slots: hits=%d misses=%d, want %d hits and 0 misses",
+					warmRep.CacheHits, warmRep.CacheMisses, len(base.Funcs))
 			}
 		})
 	}
 }
 
-// TestDetectCachePrecomputedHashes checks Options.FuncHashes: supplying
-// the keys up front must hit exactly like hashing in place, and a
-// wrong-length slice falls back silently.
-func TestDetectCachePrecomputedHashes(t *testing.T) {
-	base, _ := compileLarge(t, appgen.LargeSpec("hashes-4k", 4000, 3))
-	cache := NewMemCache()
+// TestSummariesReplayOntoSnapshot: the slots an inlining port fills
+// describe the inlined bodies, so they replay onto the inlined module a
+// daemon keeps as its snapshot, ported with inlining off — every slot a
+// hit, the output the inlining port's. A slot slice that does not match
+// the module's functions is an error, not a silent fallback.
+func TestSummariesReplayOntoSnapshot(t *testing.T) {
+	base, _ := compileLarge(t, appgen.LargeSpec("snapshot-4k", 4000, 3))
 	opts := DefaultOptions()
-	opts.Detect = cache
-	if _, _, err := PortClone(base, opts); err != nil {
-		t.Fatalf("cold port: %v", err)
+	opts.Summaries = make([]*FuncSummary, len(base.Funcs))
+	ref, _, err := PortClone(base, opts)
+	if err != nil {
+		t.Fatalf("inlining port: %v", err)
 	}
 
-	// The daemon hashes the analyzed snapshot: post-inline bodies under
-	// Inline=false options — mirror that here.
+	snap := mustClone(t, base)
+	analysis.Inline(snap, opts.InlineOptions)
 	popts := opts
 	popts.Inline = false
-	snap := mustClone(t, base)
-	inlineLike(t, snap, opts)
-	salt := CacheSalt(snap, popts)
-	hashes := make([]string, len(snap.Funcs))
-	for i, f := range snap.Funcs {
-		hashes[i] = FuncKey(salt, f)
-	}
-	popts.FuncHashes = hashes
 	ported, rep, err := PortClone(snap, popts)
 	if err != nil {
-		t.Fatalf("hashed port: %v", err)
+		t.Fatalf("snapshot port: %v", err)
 	}
-	if rep.CacheMisses != 0 || rep.CacheHits == 0 {
-		t.Errorf("precomputed hashes: hits=%d misses=%d, want all hits", rep.CacheHits, rep.CacheMisses)
-	}
-	ref, _, err := PortClone(base, DefaultOptions())
-	if err != nil {
-		t.Fatalf("reference port: %v", err)
+	if rep.CacheMisses != 0 || rep.CacheHits != len(snap.Funcs) {
+		t.Errorf("snapshot port: hits=%d misses=%d, want all %d hits", rep.CacheHits, rep.CacheMisses, len(snap.Funcs))
 	}
 	if ported.String() != ref.String() {
-		t.Errorf("hash-fed port differs from reference port")
+		t.Errorf("snapshot port differs from the inlining port")
 	}
 
-	// Wrong-length FuncHashes must be ignored, not crash or mis-key.
-	popts.FuncHashes = hashes[:1]
-	ported2, _, err := PortClone(snap, popts)
-	if err != nil {
-		t.Fatalf("short-hash port: %v", err)
-	}
-	if ported2.String() != ref.String() {
-		t.Errorf("short-hash port differs from reference port")
+	popts.Summaries = popts.Summaries[:1]
+	if _, _, err := PortClone(snap, popts); err == nil || !strings.Contains(err.Error(), "summary slots") {
+		t.Errorf("port with 1 slot for %d functions: err = %v, want a slot-count error", len(snap.Funcs), err)
 	}
 }
-
-// corruptCache wraps a MemCache and hands back summaries that cannot
-// replay (positions beyond any function), forcing the fallback path.
-type corruptCache struct{ inner *MemCache }
-
-func (c *corruptCache) Get(key string) (*FuncSummary, bool) {
-	if _, ok := c.inner.Get(key); ok {
-		return &FuncSummary{accesses: []accessSummary{{pos: 1 << 30}}}, true
-	}
-	return nil, false
-}
-func (c *corruptCache) Put(key string, s *FuncSummary) { c.inner.Put(key, s) }
 
 // TestDetectCacheCorruptFallback: a summary that fails replay
 // validation degrades to full re-analysis — same output, counted as a
-// miss — never a wrong port.
+// miss, its slot refilled — never a wrong port.
 func TestDetectCacheCorruptFallback(t *testing.T) {
 	base, _ := compileLarge(t, appgen.LargeSpec("corrupt-4k", 4000, 5))
 	ref, _, err := PortClone(base, DefaultOptions())
@@ -159,23 +127,25 @@ func TestDetectCacheCorruptFallback(t *testing.T) {
 		t.Fatalf("reference port: %v", err)
 	}
 
-	mem := NewMemCache()
+	// Summaries that cannot replay: an access position beyond any
+	// function.
 	opts := DefaultOptions()
-	opts.Detect = mem
-	if _, _, err := PortClone(base, opts); err != nil {
-		t.Fatalf("seed port: %v", err)
+	opts.Summaries = make([]*FuncSummary, len(base.Funcs))
+	for i := range opts.Summaries {
+		opts.Summaries[i] = &FuncSummary{accesses: []accessSummary{{pos: 1 << 30}}}
 	}
-
-	opts.Detect = &corruptCache{inner: mem}
 	ported, rep, err := PortClone(base, opts)
 	if err != nil {
-		t.Fatalf("corrupt-cache port: %v", err)
+		t.Fatalf("corrupt-slot port: %v", err)
 	}
 	if ported.String() != ref.String() {
-		t.Errorf("corrupt-cache port differs from reference — fallback is unsound")
+		t.Errorf("corrupt-slot port differs from reference — fallback is unsound")
 	}
-	if rep.CacheHits != 0 {
-		t.Errorf("corrupt entries counted as hits: %d", rep.CacheHits)
+	if rep.CacheHits != 0 || rep.CacheMisses != len(base.Funcs) {
+		t.Errorf("corrupt slots: hits=%d misses=%d, want 0 hits and %d misses", rep.CacheHits, rep.CacheMisses, len(base.Funcs))
+	}
+	if _, rep, err := PortClone(base, opts); err != nil || rep.CacheHits != len(base.Funcs) {
+		t.Errorf("refilled slots: err=%v hits=%d, want all %d hits", err, rep.CacheHits, len(base.Funcs))
 	}
 }
 
@@ -198,24 +168,31 @@ func TestPortCanceled(t *testing.T) {
 	}
 }
 
-// panicCache panics inside the detection worker pool.
-type panicCache struct{}
-
-func (panicCache) Get(string) (*FuncSummary, bool) { panic("injected cache failure") }
-func (panicCache) Put(string, *FuncSummary)        {}
-
 // TestPortWorkerPanicContained: a panic on a worker must drain the
 // fan-out, re-raise on the coordinator, and surface as a structured
 // diag.InternalError from Port — not kill the process or leak workers —
-// whose Error() is the same one line at every worker count.
+// whose Error() is the same one line at every worker count. The panic
+// comes from a load stripped of its address operand, which detection
+// indexes.
 func TestPortWorkerPanicContained(t *testing.T) {
 	leakcheck.Check(t)
 	base, _ := compileLarge(t, appgen.LargeSpec("panic-4k", 4000, 13))
+	var broken *ir.Instr
+	for _, f := range base.Funcs[len(base.Funcs)/2:] {
+		f.Instrs(func(in *ir.Instr) {
+			if broken == nil && in.Op == ir.OpLoad {
+				broken = in
+			}
+		})
+	}
+	if broken == nil {
+		t.Fatal("module has no load to break")
+	}
+	broken.Args = nil
 	var first string
 	for _, workers := range []int{1, 4} {
 		opts := DefaultOptions()
 		opts.Workers = workers
-		opts.Detect = panicCache{}
 		_, _, err := PortClone(base, opts)
 		if err == nil {
 			t.Fatalf("-j %d: panicking port returned nil error", workers)
@@ -224,8 +201,8 @@ func TestPortWorkerPanicContained(t *testing.T) {
 		if !ok {
 			t.Fatalf("-j %d: want diag.InternalError, got %T: %v", workers, err, err)
 		}
-		if !strings.Contains(ie.Diagnostics(), "injected cache failure") {
-			t.Errorf("-j %d: diagnostics lost the panic value: %s", workers, ie.Error())
+		if d := ie.Diagnostics(); !strings.Contains(d, "index out of range") || !strings.Contains(d, "detectFunc") {
+			t.Errorf("-j %d: diagnostics lack the panic value or its detection frame:\n%s", workers, d)
 		}
 		msg := ie.Error()
 		if strings.Contains(msg, "\n") {

@@ -35,41 +35,49 @@ type optLoopCtl struct {
 // gets one after it. The function is walked in block order, anchors are
 // collected first (insertion mutates the instruction lists being
 // scanned), then spliced — a fully deterministic sequence per function.
+// accs are the function's memory accesses in walk order, as detection
+// prepared them for the alias map, so each access's descriptor is read
+// from its entry rather than looked up in the map.
 //
 // An anchor already adjacent to a seq_cst fence is skipped: the fence
 // it needs is there. That makes the port idempotent — re-porting a
 // ported module inserts nothing — and merges the redundant fences that
 // back-to-back protocol anchors would otherwise stack up.
-func insertOptFences(f *ir.Func, loops []optLoopCtl, optLocs map[alias.Loc]bool, am *alias.Map) int {
+func insertOptFences(f *ir.Func, accs []alias.Access, loops []optLoopCtl, optLocs map[alias.Loc]bool, am *alias.Map) int {
 	if len(loops) == 0 && len(optLocs) == 0 {
 		return 0
 	}
 	var before, after []*ir.Instr
-	fenced := make(map[*ir.Instr]bool)
 	isSCFence := func(in *ir.Instr) bool { return in.Op == ir.OpFence && in.Ord == ir.SeqCst }
+	ai := 0
 	for _, b := range f.Blocks {
 		// Only a read inside one of f's optimistic loops can need a fence
-		// before it, so only such a read's location is looked up.
+		// before it, so only such a read's location is canonicalized.
 		inLoop := false
 		for _, ol := range loops {
 			inLoop = inLoop || ol.loop.Blocks[b]
 		}
 		for i, in := range b.Instrs {
-			if inLoop && in.Reads() && !fenced[in] {
-				loc := am.Canon(am.Loc(in))
+			if !in.IsMemAccess() {
+				continue
+			}
+			loc := accs[ai].Primary
+			ai++
+			fenced := false
+			if inLoop && in.Reads() {
+				canon := am.Canon(loc)
 				for _, ol := range loops {
-					if !ol.loop.Blocks[b] || !ol.ctl[loc] {
+					if !ol.loop.Blocks[b] || !ol.ctl[canon] {
 						continue
 					}
-					fenced[in] = true
+					fenced = true
 					if i == 0 || !isSCFence(b.Instrs[i-1]) {
 						before = append(before, in)
 					}
 					break
 				}
 			}
-			if in.Writes() && !fenced[in] && optLocs[am.Canon(am.Loc(in))] {
-				fenced[in] = true
+			if in.Writes() && !fenced && optLocs[am.Canon(loc)] {
 				if i+1 >= len(b.Instrs) || !isSCFence(b.Instrs[i+1]) {
 					after = append(after, in)
 				}

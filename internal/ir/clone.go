@@ -51,7 +51,7 @@ func MustClone(m *Module) *Module {
 // shell returns a body-less copy of f: its name, signature and
 // instruction-ID watermark.
 func shell(f *Func) *Func {
-	nf := &Func{Name: f.Name, RetTy: f.RetTy, NoInline: f.NoInline, nextID: f.nextID}
+	nf := &Func{Name: f.Name, RetTy: f.RetTy, nextID: f.nextID}
 	for _, p := range f.Params {
 		nf.Params = append(nf.Params, &Param{PName: p.PName, Ty: p.Ty, Index: p.Index})
 	}
@@ -65,8 +65,14 @@ func shell(f *Func) *Func {
 // ReplaceFuncs.
 func cloneFuncBody(outMod *Module, src, dst *Func) {
 	blockMap := make(map[*Block]*Block, len(src.Blocks))
-	for _, b := range src.Blocks {
-		blockMap[b] = dst.NewBlock(b.Name)
+	blocks := make([]Block, len(src.Blocks))
+	dst.Blocks = make([]*Block, len(src.Blocks))
+	nInstr := 0
+	for i, b := range src.Blocks {
+		blocks[i] = Block{Name: b.Name, Fn: dst}
+		dst.Blocks[i] = &blocks[i]
+		blockMap[b] = &blocks[i]
+		nInstr += len(b.Instrs)
 	}
 	// Instruction IDs are unique within a function (builder and parser
 	// both guarantee it), so the old->new mapping is an ID-indexed
@@ -100,25 +106,23 @@ func cloneFuncBody(outMod *Module, src, dst *Func) {
 		}
 		return v
 	}
-	// Instructions and their operand slices come out of two per-function
-	// arenas: a clone-heavy caller (the porting daemon clones a module
-	// per request) otherwise pays one allocation per instruction, and
-	// the resulting GC churn costs more than the copy itself.
-	nInstr, nArg := 0, 0
-	for _, b := range src.Blocks {
-		nInstr += len(b.Instrs)
-		for _, in := range b.Instrs {
-			nArg += len(in.Args)
-		}
-	}
+	// Blocks, instructions, the blocks' instruction lists and the operand
+	// slices come out of per-function arenas: a clone-heavy caller (the
+	// porting daemon clones a module per request) otherwise pays an
+	// allocation per block and instruction, and the resulting GC churn
+	// costs more than the copy itself. Each block's list is capped at its
+	// length, so a later insertion into one block reallocates it instead
+	// of writing into the next block's list.
 	arena := make([]Instr, nInstr)
-	argBuf := make([]Value, nArg)
+	list := make([]*Instr, nInstr)
 	// Two passes: create instruction shells first so forward references
 	// (uses of results defined later in block order, which cannot happen,
-	// but branch targets can) resolve; operands are filled in pass two.
-	k := 0
+	// but branch targets can) resolve, counting the operands; they are
+	// filled in pass two.
+	k, nArg := 0, 0
 	for _, b := range src.Blocks {
 		nb := blockMap[b]
+		nb.Instrs = list[k : k : k+len(b.Instrs)]
 		for _, in := range b.Instrs {
 			ni := &arena[k]
 			k++
@@ -146,8 +150,10 @@ func cloneFuncBody(outMod *Module, src, dst *Func) {
 				instrMap[in] = ni
 			}
 			nb.Instrs = append(nb.Instrs, ni)
+			nArg += len(in.Args)
 		}
 	}
+	argBuf := make([]Value, nArg)
 	off := 0
 	for _, b := range src.Blocks {
 		nb := blockMap[b]

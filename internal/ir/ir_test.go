@@ -82,6 +82,48 @@ func TestVerifyCatchesUnknownCallee(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesDuplicateIDs: a repeated instruction ID is rejected
+// whether it lies below the function's ID watermark or not (hand-built
+// IR may carry any ID), the first repeat in block order is the one
+// named, and distinct IDs on either side of the watermark pass.
+func TestVerifyCatchesDuplicateIDs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ids  []int // IDs for the function's first instructions; -1 keeps one
+		want string
+	}{
+		{"distinct", []int{-1, 1000, -7}, ""},
+		{"below the watermark", []int{-1, 0}, "duplicate instruction id %t0"},
+		{"above the watermark", []int{1000, -1, 1000}, "duplicate instruction id %t1000"},
+		{"negative", []int{-5, -5}, "duplicate instruction id %t-5"},
+		{"map repeat first", []int{1000, 1000, 3}, "duplicate instruction id %t1000"},
+		{"slice repeat first", []int{3, 3, 1000, 1000}, "duplicate instruction id %t3"},
+	} {
+		m := NewModule("dup")
+		f := &Func{Name: "f", RetTy: Void}
+		if err := m.AddFunc(f); err != nil {
+			t.Fatal(err)
+		}
+		b := NewBuilder(f)
+		for i := 0; i < 4; i++ {
+			b.Bin(Add, Const(1), Const(2))
+		}
+		b.Ret(nil)
+		for i, id := range tc.ids {
+			if id != -1 {
+				f.Blocks[0].Instrs[i].ID = id
+			}
+		}
+		err := Verify(m)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Verify rejected distinct IDs: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Verify = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestVerifyCatchesDanglingReferences: a spawn of a removed function
 // and a call that does not match its callee's signature are rejected
 // by name, before the cloner resolves the reference or the inliner

@@ -49,10 +49,6 @@ type Func struct {
 	RetTy  Type
 	Blocks []*Block
 
-	// NoInline marks functions that the pre-analysis inliner must not
-	// inline (recursive functions, thread entry points).
-	NoInline bool
-
 	nextID int
 	// resolver is transient parser state (see parse.go).
 	resolver any
@@ -84,12 +80,29 @@ func (f *Func) NextID() int {
 // function (used to size register files in the VM).
 func (f *Func) NumIDs() int { return f.nextID }
 
-// ReserveIDs raises the function's ID watermark so future NextID calls
-// do not collide with externally assigned IDs (used by the parser).
-func (f *Func) ReserveIDs(n int) {
-	if f.nextID < n {
-		f.nextID = n
-	}
+// NumberUnnamed gives every instruction the text form leaves unnamed
+// (void ones, and any without an ID) the ID the parser gives it: in
+// block order, counting on from the largest named ID (from 1 when none
+// is named). The ID watermark becomes the next ID after them. The parser
+// numbers what it reads this way, so a function numbered here keeps its
+// IDs and watermark through a print and a re-parse, and the inliner,
+// which names blocks after call IDs and numbers new registers from the
+// watermark, treats the function and its text alike.
+func (f *Func) NumberUnnamed() {
+	next := 0
+	f.Instrs(func(in *Instr) {
+		if in.Type() != Void && in.ID > next {
+			next = in.ID
+		}
+	})
+	next++
+	f.Instrs(func(in *Instr) {
+		if in.ID < 0 || in.Type() == Void {
+			in.ID = next
+			next++
+		}
+	})
+	f.nextID = next
 }
 
 // Preds returns a map from block to its predecessor blocks.

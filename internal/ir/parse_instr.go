@@ -46,7 +46,6 @@ type funcResolver struct {
 	byID    map[int]*Instr
 	byBlock map[string]*Block
 	pending []pendingOperand
-	maxID   int
 }
 
 // buildInstrShells creates instruction objects for a raw function,
@@ -80,18 +79,9 @@ func (p *moduleParser) buildInstrShells(rf *rawFunc) error {
 			b.Instrs = append(b.Instrs, in)
 		}
 	}
-	// Assign IDs to void instructions (the printer omits them) and set
-	// the function's ID watermark.
-	next := r.maxID + 1
-	for _, b := range rf.blocks {
-		for _, in := range b.Instrs {
-			if in.ID < 0 {
-				in.ID = next
-				next++
-			}
-		}
-	}
-	rf.fn.ReserveIDs(next)
+	// Number void instructions (the printer omits their IDs) and set the
+	// function's ID watermark.
+	rf.fn.NumberUnnamed()
 	return nil
 }
 
@@ -105,9 +95,6 @@ func (r *funcResolver) parseInstr(b *Block, ri rawInstr) (*Instr, error) {
 			return nil, fmt.Errorf("duplicate register %%t%d", ri.result)
 		}
 		r.byID[ri.result] = in
-		if ri.result > r.maxID {
-			r.maxID = ri.result
-		}
 	}
 	if err := r.parseMarks(in, comment); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -121,9 +122,33 @@ func TestMarksRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNumberUnnamedMatchesParse: a built function numbered by
+// NumberUnnamed carries the IDs and watermark its parsed text does. The
+// spin module's void branches and stores sit before, between and after
+// its named loads, and writer names nothing, so it numbers from 1.
+func TestNumberUnnamedMatchesParse(t *testing.T) {
+	m := buildSpinModule(t)
+	for _, f := range m.Funcs {
+		f.NumberUnnamed()
+	}
+	parsed := roundTrip(t, m)
+	for _, f := range m.Funcs {
+		pf := parsed.Func(f.Name)
+		var got, want []int
+		f.Instrs(func(in *Instr) { got = append(got, in.ID) })
+		pf.Instrs(func(in *Instr) { want = append(want, in.ID) })
+		if !slices.Equal(got, want) || f.NumIDs() != pf.NumIDs() {
+			t.Errorf("@%s: IDs %v watermark %d, parsed %v watermark %d", f.Name, got, f.NumIDs(), want, pf.NumIDs())
+		}
+	}
+	if err := Verify(m); err != nil {
+		t.Fatalf("Verify after numbering: %v", err)
+	}
+}
+
 func TestParseRoundTripSpawn(t *testing.T) {
 	m := NewModule("spawnmod")
-	w := &Func{Name: "worker", RetTy: Void, NoInline: true}
+	w := &Func{Name: "worker", RetTy: Void}
 	if err := m.AddFunc(w); err != nil {
 		t.Fatal(err)
 	}

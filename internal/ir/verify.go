@@ -61,16 +61,29 @@ func verifyFunc(m *Module, f *Func) error {
 	for _, b := range f.Blocks {
 		blocks[b] = true
 	}
-	seen := make(map[int]bool)
+	// IDs below the watermark are tracked in a slice; hand-built IR may
+	// carry any other ID, which the map tracks.
+	seen := make([]bool, f.nextID)
+	var seenElse map[int]bool
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("block %%%s is empty", b.Name)
 		}
 		for i, in := range b.Instrs {
-			if seen[in.ID] {
-				return fmt.Errorf("duplicate instruction id %%t%d", in.ID)
+			if in.ID >= 0 && in.ID < len(seen) {
+				if seen[in.ID] {
+					return fmt.Errorf("duplicate instruction id %%t%d", in.ID)
+				}
+				seen[in.ID] = true
+			} else {
+				if seenElse[in.ID] {
+					return fmt.Errorf("duplicate instruction id %%t%d", in.ID)
+				}
+				if seenElse == nil {
+					seenElse = make(map[int]bool)
+				}
+				seenElse[in.ID] = true
 			}
-			seen[in.ID] = true
 			if in.Blk != b {
 				return fmt.Errorf("instruction %%t%d has wrong parent block", in.ID)
 			}

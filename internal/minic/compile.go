@@ -12,8 +12,8 @@
 //   - lower: function bodies are lowered concurrently by fanout.Each
 //     (instruction IDs and block names are per-function state, so each
 //     lowered function is byte-identical to its sequential lowering);
-//     per-function stats and NoInline marks land in per-function slots
-//     merged in module order.
+//     per-function stats land in per-function slots merged in module
+//     order.
 //
 // Determinism contract: CompileOpts produces a byte-identical module
 // (and identical Stats) for every Workers value — docs/PIPELINE.md
@@ -116,20 +116,18 @@ func CompileOpts(name, src string, opts Options) (res *Result, err error) {
 }
 
 // funcOut is one function's lowering result slot: per-function stats
-// deltas (asm mapping counters) and the NoInline marks the body
-// requested (spawn targets), applied sequentially in module order so
-// the merged module and stats are identical for every worker count.
+// deltas (asm mapping counters), applied sequentially in module order so
+// the merged stats are identical for every worker count.
 type funcOut struct {
-	err      error
-	stats    Stats
-	noinline []*ir.Func
+	err   error
+	stats Stats
 }
 
 // compileFuncs lowers every function body, fanning out across the
 // compiler's worker count. Workers write into per-function slots; the
-// sequential merge consumes them in module order, so stats, NoInline
-// marks and the reported error (the lowest failing function's) all
-// match the sequential frontend.
+// sequential merge consumes them in module order, so stats and the
+// reported error (the lowest failing function's) match the sequential
+// frontend.
 func (c *compiler) compileFuncs(funcs []*FuncDecl) error {
 	outs := make([]funcOut, len(funcs))
 	scratch := make([]lowerScratch, min(c.workers, len(funcs)))
@@ -149,7 +147,4 @@ func (c *compiler) compileFuncs(funcs []*FuncDecl) error {
 func (c *compiler) mergeFuncOut(out *funcOut) {
 	c.stats.AsmMapped += out.stats.AsmMapped
 	c.stats.AsmOpaque += out.stats.AsmOpaque
-	for _, fn := range out.noinline {
-		fn.NoInline = true
-	}
 }

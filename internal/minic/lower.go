@@ -303,10 +303,9 @@ type funcLowerer struct {
 	loops    []loopCtx
 	blkSeq   int
 	nAllocas int
-	// stats and noinline land in this function's funcOut slot; the
-	// sequential merge (compile.go) applies them in module order.
-	stats    *Stats
-	noinline []*ir.Func
+	// stats lands in this function's funcOut slot; the sequential merge
+	// (compile.go) applies it in module order.
+	stats *Stats
 }
 
 // alloca creates a stack slot in the function's entry block (clang -O0
@@ -355,7 +354,6 @@ func (c *compiler) compileFunc(fd *FuncDecl, scratch *lowerScratch, out *funcOut
 		}
 	}
 	fl.popScope()
-	out.noinline = fl.noinline
 }
 
 func (fl *funcLowerer) pushScope() {

@@ -581,10 +581,6 @@ func (fl *funcLowerer) lowerCall(x *Call) (ir.Value, error) {
 		if fn == nil {
 			return nil, fmt.Errorf("line %d: spawn of unknown function %q", x.Line, id.Name)
 		}
-		// Deferred NoInline mark: writing fn.NoInline here would race
-		// with the goroutine lowering fn's own body, so the mark is
-		// recorded per-function and applied at the sequential merge.
-		fl.noinline = append(fl.noinline, fn)
 		fl.b.Call(ir.Void, "spawn", &ir.FuncRef{Fn: fn})
 		return ir.Const(0), nil
 	case "malloc":

@@ -316,9 +316,6 @@ void main_thread(void) {
 }
 `)
 	w := res.Module.Func("worker")
-	if !w.NoInline {
-		t.Error("spawned function not marked NoInline")
-	}
 	var spawnArg ir.Value
 	res.Module.EachInstr(func(_ *ir.Func, in *ir.Instr) {
 		if in.Op == ir.OpCall && in.Callee == "spawn" {

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/appgen"
+	"repro/internal/atomig"
 	"repro/internal/ir"
 	"repro/internal/leakcheck"
 	"repro/internal/obs"
@@ -148,8 +149,8 @@ func TestChaosStorm(t *testing.T) {
 
 // TestPanicUnderSessionReadLock: a panic while a port copies the
 // snapshot under the session's read lock is answered as internal, and
-// the lock is released, so the recovery's cache poisoning and the next
-// requests on the session go through.
+// the lock is released, so the recovery's poisoning of the summaries
+// and the next requests on the session go through.
 func TestPanicUnderSessionReadLock(t *testing.T) {
 	leakcheck.Check(t)
 	srv, c := startServer(t, Options{})
@@ -166,8 +167,8 @@ func TestPanicUnderSessionReadLock(t *testing.T) {
 	b.Ret(nil)
 	sess := srv.lookup("")
 	sess.mu.Lock()
-	good := sess.snap
-	sess.snap = bad
+	good, goodSums := sess.snap, sess.sums
+	sess.snap, sess.sums = bad, make([]*atomig.FuncSummary, len(bad.Funcs))
 	sess.mu.Unlock()
 
 	within := func(req *Request) *Response {
@@ -188,7 +189,7 @@ func TestPanicUnderSessionReadLock(t *testing.T) {
 	mustOK(t, within(&Request{ID: "dump", Op: "dump"}))
 
 	sess.mu.Lock()
-	sess.snap = good
+	sess.snap, sess.sums = good, goodSums
 	sess.mu.Unlock()
 	p := mustOK(t, within(&Request{ID: "port", Op: "port", Emit: true}))
 	if want := cliPortSource(t, "small.c", smallSrc); p.Text != want {

@@ -57,7 +57,7 @@ func (s *Server) opEdit(ctx context.Context, req *Request, sess *session) *Respo
 	return &Response{OK: true, Module: sess.name, Funcs: rebuilt + reused}
 }
 
-// opPort runs the cached pipeline and returns the report (plus the
+// opPort runs the incremental pipeline and returns the report (plus the
 // ported IR inline with emit, or written to a file with out).
 func (s *Server) opPort(ctx context.Context, req *Request, sess *session) *Response {
 	if sess == nil {
@@ -141,7 +141,7 @@ func (s *Server) opExplain(ctx context.Context, req *Request, sess *session) *Re
 	}
 }
 
-// opVerify ports the module (cached) and model-checks the result under
+// opVerify ports the module (incrementally) and model-checks the result under
 // the request's budgets, reusing mc's three-valued verdict: pass,
 // fail/race, or unknown with the stop reason when a budget ran out.
 func (s *Server) opVerify(ctx context.Context, req *Request, sess *session) *Response {
@@ -186,7 +186,7 @@ func (s *Server) opVerify(ctx context.Context, req *Request, sess *session) *Res
 	}
 }
 
-// opStress ports the module (cached) and runs the schedule-fuzzing
+// opStress ports the module (incrementally) and runs the schedule-fuzzing
 // stress sweep on the result (internal/stress): the plain-execution
 // fast path, every scheduler mode x Seeds schedules, the detector
 // sampling Sample of the plain locations. The verdict is a witness —
@@ -249,12 +249,12 @@ func (s *Server) opStress(ctx context.Context, req *Request, sess *session) *Res
 	}
 }
 
-// opOptimize ports the module (cached) and runs the checker-in-the-
-// loop weakening optimizer on the ported clone (internal/weaken). The
-// session memoizes the result per (options, module) — a repeat request
-// replays it with replayed=true. The port inside it shares the
-// session's detection cache with plain ports: weakening options never
-// change what detection computes.
+// opOptimize ports the module (incrementally) and runs the checker-in-
+// the-loop weakening optimizer on the ported clone (internal/weaken).
+// The session memoizes the result per options for the current snapshot
+// — a repeat request replays it with replayed=true. The port inside it
+// shares the session's detection summaries with plain ports: weakening
+// options never change what detection computes.
 func (s *Server) opOptimize(ctx context.Context, req *Request, sess *session) *Response {
 	if sess == nil {
 		return errResp(ErrNoModule, "no module loaded in session %q", sessionName(req))
@@ -312,7 +312,7 @@ func (s *Server) opOptimize(ctx context.Context, req *Request, sess *session) *R
 	return resp
 }
 
-// logCache emits the detection-cache outcome of one cached port — the
+// logCache emits the summary outcome of one session port — the
 // incremental-analysis signal (all hits = warm replay).
 func (s *Server) logCache(op string, rep *atomig.Report) {
 	s.lg.Event("serve.cache_consulted").
@@ -342,7 +342,7 @@ func (s *Server) opStats() *Response {
 	}
 	s.mu.Lock()
 	for _, sess := range s.sessions {
-		st.CacheEntries += sess.cache.Len()
+		st.CacheEntries += sess.filled()
 	}
 	s.mu.Unlock()
 	return &Response{OK: true, Stats: st}

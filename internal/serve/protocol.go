@@ -92,7 +92,8 @@ const (
 	// ErrCanceled: a cancel op (or connection teardown) stopped it.
 	ErrCanceled = "canceled"
 	// ErrInternal: a contained panic or engine failure; the daemon
-	// stays up and the session's detection cache has been evicted.
+	// stays up and, after a panic, the session's detection summaries
+	// have been dropped.
 	ErrInternal = "internal"
 )
 
@@ -171,7 +172,7 @@ type Stats struct {
 	WatchdogFired   int64    `json:"watchdog_fired"`
 	CacheHits       int64    `json:"cache_hits"`
 	CacheMisses     int64    `json:"cache_misses"`
-	CacheEntries    int      `json:"cache_entries"`
+	CacheEntries    int      `json:"cache_entries"` // filled summary slots, all sessions
 	Sessions        []string `json:"sessions,omitempty"`
 }
 

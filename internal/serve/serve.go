@@ -6,13 +6,14 @@
 //
 // The three load-bearing properties (docs/SERVE.md):
 //
-//   - Incremental analysis: detection verdicts are content-addressed
-//     by function-body hash (atomig.DetectCache), so a one-function
-//     edit re-analyzes one function and replays the rest.
+//   - Incremental analysis: a session keeps one detection summary per
+//     snapshot function (atomig.Options.Summaries), and an edit drops
+//     the summaries of exactly the functions it rebuilds, so a
+//     one-function edit re-analyzes one function and replays the rest.
 //   - Per-request robustness: every request runs under a context
 //     deadline with a watchdog behind it, wrapped in panic
 //     containment — a crashing request returns a structured error and
-//     evicts the session's (possibly poisoned) cache; the daemon
+//     drops the session's (possibly poisoned) summaries; the daemon
 //     lives on.
 //   - Service lifecycle: a bounded admission queue sheds load with a
 //     typed `overloaded` response, shutdown drains in-flight work,
@@ -567,9 +568,9 @@ func (s *Server) handle(req *Request, slot int, send func(*Response)) {
 }
 
 // execute dispatches one request with panic containment: a crash in
-// any handler returns a structured internal error and evicts the
-// session's detection cache (it may hold entries published by the
-// crashed worker), leaving the daemon healthy.
+// any handler returns a structured internal error and drops the
+// session's detection summaries (one may have been computed from the
+// crashed request's state), leaving the daemon healthy.
 func (s *Server) execute(ctx context.Context, req *Request, rid string) (resp *Response) {
 	sess := s.lookup(req.Session)
 	defer func() {

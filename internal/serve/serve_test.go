@@ -6,6 +6,7 @@ package serve
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -393,7 +394,7 @@ func TestRejectedDeltasLeaveSessionIntact(t *testing.T) {
 	}
 	_, c := startServer(t, Options{})
 	mustOK(t, c.call(&Request{ID: "load", Op: "load", Name: "tas.c", Source: prog.Source}))
-	want := cliPortSource(t, "tas.c", prog.Source)
+	want := cliPortAIR(t, mustOK(t, c.call(&Request{ID: "dump", Op: "dump"})).Text)
 	for i, tc := range []struct {
 		req  *Request
 		text string
@@ -414,6 +415,45 @@ func TestRejectedDeltasLeaveSessionIntact(t *testing.T) {
 		}
 	}
 	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
+}
+
+// TestMiniCLoadPortsAsDump: a session loaded from MiniC ports as
+// `atomig -j 1` ports its dump, cold and warm, for every corpus program
+// and for one that both spawns and calls a function. The dump carries
+// no IDs of void instructions and no ID watermark, yet the inliner names
+// blocks after call IDs and numbers registers from the watermark, so
+// the load must number the module as a parse of its dump does.
+func TestMiniCLoadPortsAsDump(t *testing.T) {
+	progs := []struct{ name, src string }{{"spawn-and-call", `
+int data;
+int flag;
+void worker(void) { data = data + 1; flag = 1; }
+void main_thread(void) { spawn(worker); worker(); while (flag == 0) { } assert(data > 0); }
+`}}
+	for _, p := range corpus.All() {
+		progs = append(progs, struct{ name, src string }{p.Name, p.Source})
+	}
+	for _, p := range progs {
+		t.Run(p.name, func(t *testing.T) {
+			s, err := newSession(p.name+".c", p.src, "c", 1, nil)
+			if err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			want := cliPortAIR(t, s.dumpBase())
+			for _, run := range []string{"cold", "warm"} {
+				ported, rep, err := s.port(context.Background(), 1, nil)
+				if err != nil {
+					t.Fatalf("%s port: %v", run, err)
+				}
+				if ported.String() != want {
+					t.Errorf("%s port differs from the CLI port of the dumped module", run)
+				}
+				if run == "warm" && rep.CacheMisses != 0 {
+					t.Errorf("warm port re-analyzed %d functions, want 0", rep.CacheMisses)
+				}
+			}
+		})
+	}
 }
 
 // TestSessionsAreIndependent checks that named sessions hold distinct

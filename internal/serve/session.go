@@ -1,16 +1,18 @@
 // Session state: each named session owns one module and its
 // incremental-analysis companion state. The base module is the
 // un-ported truth (what dump renders and edits replace functions in);
-// the analyzed snapshot holds base's functions pre-inlined, and their
-// body hashes key the detection cache. Ports clone the snapshot and run
-// the pipeline with inlining off, which performs the exact mutation
-// sequence the CLI's inline-then-analyze port performs — so daemon
-// output is byte-identical to `atomig -j 1` on the dumped module (the
-// conformance contract, tested in serve_test.go).
+// the analyzed snapshot holds base's functions pre-inlined, and beside
+// it the session keeps one detection summary slot per snapshot
+// function. Ports clone the snapshot and run the pipeline with inlining
+// off, which performs the exact mutation sequence the CLI's
+// inline-then-analyze port performs — so daemon output is byte-identical
+// to `atomig -j 1` on the dumped module (the conformance contract,
+// tested in serve_test.go).
 //
 // An edit costs what it changes: the next base and snapshot share every
-// function the edit cannot have changed with the current ones, and only
-// the changed functions are copied, verified, re-inlined and re-keyed.
+// function the edit cannot have changed with the current ones, only the
+// changed functions are copied, verified and re-inlined, and only their
+// summary slots are emptied.
 package serve
 
 import (
@@ -38,26 +40,32 @@ type session struct {
 	// lock and release it before the expensive work).
 	mu sync.RWMutex
 
-	// base, snap and hashes are replaced, never mutated, once published:
-	// later versions share their functions, and a port keeps using the
-	// hashes it read after releasing the lock.
-	base   *ir.Module // un-ported truth
-	snap   *ir.Module // analyzed snapshot: base's functions, inlined
-	hashes []string   // FuncKey per snap.Funcs, under salt
-	salt   string
-	cache  *atomig.MemCache
+	// base, snap and sums are replaced, never mutated, once published:
+	// later versions share their functions, and a port fills its own
+	// copy of sums. A slot describes its snapshot function for as long as
+	// the function is not rebuilt: deltas change functions only (structs
+	// and globals change by reload, which builds a new session), and every
+	// port runs with portOptions.
+	base *ir.Module            // un-ported truth
+	snap *ir.Module            // analyzed snapshot: base's functions, inlined
+	sums []*atomig.FuncSummary // detection summary per snap.Funcs; nil until a port fills it
+
+	// gen moves on every rebuild and every poison. A port publishes the
+	// slots it filled, and optimize its memo, only if gen has not moved
+	// since the snapshot was copied.
+	gen uint64
 
 	// uses holds, per function of base, the names it calls or references:
 	// the edges dependents walks, kept so that an edit reads only the
 	// functions it changes.
 	uses map[string][]string
 
-	// opt memoizes the last optimize result, keyed by the request's
-	// weakening configuration (weaken.Options.Salt) plus the snapshot's
-	// function hashes; an edit or an option flip changes the key and
-	// forces a recompute. The detection cache needs no such key: it
-	// holds summaries of the un-weakened snapshot, and weakening runs
-	// on a ported clone (TestOptimizeSaltFlip).
+	// opt memoizes the last optimize result of the current snapshot,
+	// keyed by the request's weakening configuration
+	// (weaken.Options.Salt); an option flip misses, and rebuild and
+	// poison drop it. The summaries need no such key: they describe the
+	// un-weakened snapshot, and weakening runs on a ported clone
+	// (TestOptimizeSaltFlip).
 	opt *optMemo
 }
 
@@ -101,7 +109,15 @@ func newSession(name, source, lang string, workers int, prov *obs.Provider) (*se
 	default:
 		return nil, fmt.Errorf("unknown lang %q (want c or air)", lang)
 	}
-	s := &session{name: name, cache: atomig.NewMemCache(), uses: make(map[string][]string)}
+	if lang == "c" {
+		// Give the instructions dump leaves unnamed the IDs a parse of the
+		// dump gives them, so the inliner names blocks and numbers
+		// registers as it does for `atomig` on the dump.
+		for _, f := range m.Funcs {
+			f.NumberUnnamed()
+		}
+	}
+	s := &session{name: name, uses: make(map[string][]string)}
 	all := make(map[string]bool, len(m.Funcs))
 	for _, f := range m.Funcs {
 		all[f.Name] = true
@@ -124,13 +140,14 @@ func langOf(lang, name string) string {
 
 // rebuild publishes base as the session's module together with its
 // analyzed snapshot: the snapshot functions named in changed are
-// re-inlined and re-keyed, every other function and its key is shared
-// with the current snapshot. changed must hold every function of base
-// whose inlined body can differ from the current snapshot's: the edited
-// ones and all that transitively call or reference them (see
-// dependents). Nothing is published until all of it is built, so a
-// panic leaves the session as it was. Called under the write lock (or
-// before publication); returns how many functions it rebuilt.
+// re-inlined and their summary slots left empty, every other function
+// and its slot is carried over from the current snapshot. changed must
+// hold every function of base whose inlined body can differ from the
+// current snapshot's: the edited ones and all that transitively call or
+// reference them (see dependents). Nothing is published until all of it
+// is built, so a panic leaves the session as it was. It moves the
+// generation and drops the optimize memo. Called under the write lock
+// (or before publication); returns how many functions it rebuilt.
 //
 // The inliner only copies callees into callers, so its work on a
 // function depends only on that function's callee closure, the
@@ -164,22 +181,21 @@ func (s *session) rebuild(base *ir.Module, changed map[string]bool) int {
 		snap.ReplaceFuncs(fresh...)
 	}
 
-	// Function edits cannot change the salt (it covers struct layouts and
-	// global annotations only), so unchanged functions keep their keys.
-	salt := atomig.CacheSalt(snap, portOptions())
-	prev := make(map[string]string, len(s.hashes))
-	for i, h := range s.hashes {
-		prev[s.snap.Funcs[i].Name] = h
-	}
-	hashes := make([]string, len(snap.Funcs))
-	for i, f := range snap.Funcs {
-		if h, ok := prev[f.Name]; ok && !changed[f.Name] {
-			hashes[i] = h
-		} else {
-			hashes[i] = atomig.FuncKey(salt, f)
+	prev := make(map[string]*atomig.FuncSummary)
+	for i, sum := range s.sums {
+		if sum != nil {
+			prev[s.snap.Funcs[i].Name] = sum
 		}
 	}
-	s.base, s.snap, s.salt, s.hashes = base, snap, salt, hashes
+	sums := make([]*atomig.FuncSummary, len(snap.Funcs))
+	for i, f := range snap.Funcs {
+		if !changed[f.Name] {
+			sums[i] = prev[f.Name]
+		}
+	}
+	s.base, s.snap, s.sums = base, snap, sums
+	s.gen++
+	s.opt = nil
 	for name := range changed {
 		if f := base.Func(name); f != nil {
 			s.uses[name] = usesOf(f)
@@ -319,56 +335,58 @@ func calleeClosure(m *ir.Module, names map[string]bool) []*ir.Func {
 	return out
 }
 
-// port clones the analyzed snapshot and runs the cached pipeline on
-// the clone under ctx. The expensive work happens outside the session
-// lock — only the snapshot clone is taken under it, so concurrent
-// ports proceed in parallel and edits order cleanly between them.
+// port clones the analyzed snapshot and runs the pipeline on the clone
+// under ctx, replaying the filled summary slots and filling the empty
+// ones in a copy of the slots. The expensive work happens outside the
+// session lock — only the snapshot and slot copies are taken under it,
+// so concurrent ports proceed in parallel and edits order cleanly
+// between them. The filled copy is published only if no rebuild or
+// poison came in between.
 func (s *session) port(ctx context.Context, workers int, prov *obs.Provider) (*ir.Module, *atomig.Report, error) {
-	clone, hashes, err := s.cloneSnapshot()
+	clone, sums, gen, err := s.cloneSnapshot()
 	if err != nil {
 		return nil, nil, err
 	}
 	opts := portOptions()
 	opts.Context = ctx
-	opts.Detect = s.cache
-	opts.FuncHashes = hashes
+	opts.Summaries = sums
 	opts.Workers = workers
 	opts.Obs = prov
 	rep, err := atomig.Port(clone, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	if rep.CacheMisses > 0 {
+		s.mu.Lock()
+		if s.gen == gen {
+			s.sums = sums
+		}
+		s.mu.Unlock()
+	}
 	return clone, rep, nil
 }
 
-// cloneSnapshot copies the analyzed snapshot and takes its keys under
-// the read lock. The unlock is deferred so that a panic in the copy
-// cannot leave the lock held: the recovery poisons the session, which
-// takes the write lock.
-func (s *session) cloneSnapshot() (*ir.Module, []string, error) {
+// cloneSnapshot copies the analyzed snapshot and its summary slots and
+// reads the generation under the read lock. The unlock is deferred so
+// that a panic in the copy cannot leave the lock held: the recovery
+// poisons the session, which takes the write lock.
+func (s *session) cloneSnapshot() (*ir.Module, []*atomig.FuncSummary, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	clone, err := ir.CloneModule(s.snap)
-	return clone, s.hashes, err
+	return clone, slices.Clone(s.sums), s.gen, err
 }
 
-// optKey keys the optimize memo: the weakening configuration's salt
-// plus the snapshot's function hashes (already salted by module header
-// state), so an edit or an option flip misses.
-func (s *session) optKey(salt string) string {
-	return salt + "\x00" + strings.Join(s.hashes, "\x00")
-}
-
-// optimize ports the session (cached) and runs the weakening optimizer
-// on the ported clone. The result is memoized per (configuration,
-// snapshot) — a repeat request with the same options on an unedited
-// module replays it (replayed=true) without re-running the checker.
-// wopts carries the request's weakening options; Workers/Context/Obs
-// are overridden with the server's.
+// optimize ports the session and runs the weakening optimizer on the
+// ported clone. The result is memoized per configuration for the
+// current snapshot — a repeat request with the same options on an
+// unedited module replays it (replayed=true) without re-running the
+// checker. wopts carries the request's weakening options;
+// Workers/Context/Obs are overridden with the server's.
 func (s *session) optimize(ctx context.Context, workers int, prov *obs.Provider, wopts weaken.Options) (res *weaken.Result, rep *atomig.Report, text string, replayed bool, err error) {
-	salt := wopts.Salt()
+	key := wopts.Salt()
 	s.mu.RLock()
-	key := s.optKey(salt)
+	gen := s.gen
 	if m := s.opt; m != nil && m.key == key {
 		s.mu.RUnlock()
 		return m.res, m.rep, m.text, true, nil
@@ -389,10 +407,11 @@ func (s *session) optimize(ctx context.Context, workers int, prov *obs.Provider,
 	text = ported.String()
 
 	// Publish the memo only if the snapshot it was computed from is
-	// still current (an edit racing this request invalidates it — serve
-	// the response, drop the memo).
+	// still current: gen was read before the port copied the snapshot,
+	// so an edit or poison racing this request moved it — serve the
+	// response, drop the memo.
 	s.mu.Lock()
-	if s.optKey(salt) == key {
+	if s.gen == gen {
 		s.opt = &optMemo{key: key, res: res, rep: rep, text: text}
 	}
 	s.mu.Unlock()
@@ -414,15 +433,30 @@ func (s *session) cloneBase() (*ir.Module, error) {
 	return ir.CloneModule(s.base)
 }
 
-// poison evicts every cached detection verdict. Called after a
-// contained panic anywhere in a request touching this session: a
-// panicking worker may have published a summary computed from
-// corrupted state, and correctness must never depend on cache contents.
+// poison empties every summary slot, drops the optimize memo and moves
+// the generation, so no port or optimize in flight publishes either.
+// Called after a contained panic anywhere in a request touching this
+// session: a summary may have been computed from corrupted state, and
+// correctness must never depend on what the slots hold.
 func (s *session) poison() {
-	s.cache.Clear()
 	s.mu.Lock()
+	s.sums = make([]*atomig.FuncSummary, len(s.snap.Funcs))
 	s.opt = nil
+	s.gen++
 	s.mu.Unlock()
+}
+
+// filled counts the summary slots a port has filled.
+func (s *session) filled() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for _, sum := range s.sums {
+		if sum != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // readSource resolves a load request's source text: inline Source

@@ -1,11 +1,14 @@
 // White-box tests of incremental edits: the snapshot an edit builds
 // piece by piece must equal the one the whole-module rebuild it replaced
-// builds, batch after batch, and edits must not pin old module versions.
+// builds, batch after batch, the summary slots it keeps must still
+// describe their functions, and edits must not pin old module versions.
 package serve
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -17,8 +20,8 @@ import (
 )
 
 // rebuildReference is the whole-module snapshot build that incremental
-// rebuilds replaced, kept verbatim as their reference: clone the base,
-// inline the clone, key every function.
+// rebuilds replaced, kept as their reference: clone the base, inline
+// the clone.
 func (s *session) rebuildReference() error {
 	snap, err := ir.CloneModule(s.base)
 	if err != nil {
@@ -26,11 +29,6 @@ func (s *session) rebuildReference() error {
 	}
 	analysis.Inline(snap, atomig.DefaultOptions().InlineOptions)
 	s.snap = snap
-	s.salt = atomig.CacheSalt(snap, portOptions())
-	s.hashes = make([]string, len(snap.Funcs))
-	for i, f := range snap.Funcs {
-		s.hashes[i] = atomig.FuncKey(s.salt, f)
-	}
 	return nil
 }
 
@@ -247,17 +245,18 @@ func newEditPair(t testing.TB) *editPair {
 		t.Fatalf("reference rebuild: %v", err)
 	}
 	p := &editPair{t: t, inc: inc, ref: ref}
-	p.check("load")
+	p.check("load", len(inc.snap.Funcs))
 	return p
 }
 
 // apply edits both sessions and checks they agree: the same verdict and
-// error, and on success the same module, snapshot, keys and salt.
-// It reports whether the batch was accepted.
+// error, and on success the same module and snapshot, with the summary
+// slots of exactly the rebuilt functions emptied (see check). It
+// reports whether the batch was accepted.
 func (p *editPair) apply(what string, replace, remove []string) bool {
 	p.t.Helper()
 	base := p.inc.base
-	_, _, err := p.inc.edit(replace, remove)
+	rebuilt, _, err := p.inc.edit(replace, remove)
 	refErr := p.ref.editReference(replace, remove)
 	if fmt.Sprint(err) != fmt.Sprint(refErr) {
 		p.t.Fatalf("%s: incremental edit returned %v, reference %v\nreplace: %q\nremove: %q", what, err, refErr, replace, remove)
@@ -268,11 +267,17 @@ func (p *editPair) apply(what string, replace, remove []string) bool {
 		}
 		return false
 	}
-	p.check(what)
+	p.check(what, rebuilt)
 	return true
 }
 
-func (p *editPair) check(what string) {
+// check compares the incremental session with the reference after a
+// batch that rebuilt that many snapshot functions. Every summary slot
+// the batch kept must equal the summary a port with empty slots
+// computes for its snapshot function now, and the next port must
+// re-analyze exactly the rebuilt functions. That port fills every slot,
+// so the next batch starts from a warm session.
+func (p *editPair) check(what string, rebuilt int) {
 	p.t.Helper()
 	inc, ref := p.inc, p.ref
 	if got, want := inc.base.String(), ref.base.String(); got != want {
@@ -281,11 +286,29 @@ func (p *editPair) check(what string) {
 	if got, want := inc.snap.String(), ref.snap.String(); got != want {
 		p.t.Fatalf("%s: snapshot differs from the reference rebuild:\n%s\nwant:\n%s", what, got, want)
 	}
-	if inc.salt != ref.salt {
-		p.t.Fatalf("%s: salt %s, reference %s", what, inc.salt, ref.salt)
+	fresh := make([]*atomig.FuncSummary, len(inc.snap.Funcs))
+	opts := portOptions()
+	opts.Summaries = fresh
+	if _, _, err := atomig.PortClone(inc.snap, opts); err != nil {
+		p.t.Fatalf("%s: port with empty slots: %v", what, err)
 	}
-	if strings.Join(inc.hashes, ",") != strings.Join(ref.hashes, ",") {
-		p.t.Fatalf("%s: function keys differ from the reference rebuild", what)
+	if len(inc.sums) != len(fresh) {
+		p.t.Fatalf("%s: %d summary slots for %d snapshot functions", what, len(inc.sums), len(fresh))
+	}
+	for i, sum := range inc.sums {
+		if sum != nil && !reflect.DeepEqual(sum, fresh[i]) {
+			p.t.Fatalf("%s: the kept summary of @%s is not its snapshot function's", what, inc.snap.Funcs[i].Name)
+		}
+	}
+	_, rep, err := inc.port(context.Background(), 1, nil)
+	if err != nil {
+		p.t.Fatalf("%s: port: %v", what, err)
+	}
+	if rep.CacheMisses != rebuilt {
+		p.t.Fatalf("%s: port re-analyzed %d functions (%d replayed), the batch rebuilt %d", what, rep.CacheMisses, rep.CacheHits, rebuilt)
+	}
+	if n := inc.filled(); n != len(inc.snap.Funcs) {
+		p.t.Fatalf("%s: %d of %d summary slots filled after a port", what, n, len(inc.snap.Funcs))
 	}
 	for _, m := range []*ir.Module{inc.base, inc.snap} {
 		m.EachInstr(func(f *ir.Func, in *ir.Instr) {
