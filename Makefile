@@ -6,7 +6,7 @@ GO      ?= go
 GOFMT   ?= gofmt
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check fanout-check grid-check lock-check test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke clean
+.PHONY: all build vet fmt-check fanout-check grid-check lock-check sink-check test test-race check race-smoke fuzz-smoke bench-mc bench-mc-smoke bench-pipeline bench-frontend bench-weaken bench-stress pipeline-smoke frontend-smoke obs-smoke obs-live-smoke serve-smoke weaken-smoke stress-smoke clean
 
 # Module size for the pipeline byte-identical-output smoke. Big enough
 # to exercise the parallel fan-out, small enough for `make check`.
@@ -74,6 +74,20 @@ lock-check:
 		xargs grep -nHE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.][A-Za-z0-9_]*[[:space:]]+)?"(sync|sync/atomic|unsafe)"[[:space:]]*(//.*)?$$'); \
 	if [ -n "$$lines" ]; then echo "sync, sync/atomic or unsafe in the porting pipeline or an execution engine (write per-index slots from fanout.Each, merge in order; keep engine state per worker):"; echo "$$lines"; exit 1; fi
 
+# Sink gate: fails, naming the lines, when a tracked non-test .go file
+# of the porting pipeline or of an execution engine (the lock-checked
+# packages plus the model checker and the weakener) reads an obs
+# instrument back: `.Value()`, `AddGet` or `RegistryOrNew`, or
+# `Snapshot()` on a provider or registry (matched by receiver name, so a
+# VM's Snapshot() passes). The rule: an engine counts its run in its
+# own result and publishes the totals once when the run returns, so
+# runs sharing a provider never see each other's work.
+SINK_CHECKED = $(LOCK_CHECKED) internal/mc internal/weaken
+sink-check:
+	@lines=$$(git ls-files -- $(SINK_CHECKED) | grep '\.go$$' | grep -v '_test\.go$$' | \
+		xargs grep -nHE '\.Value\(\)|\.(AddGet|RegistryOrNew)\(|\b(Obs|Registry|p|prov|reg)\.Snapshot\(\)'); \
+	if [ -n "$$lines" ]; then echo "metrics read back in the pipeline or an engine (count in the run's result, publish once when it returns):"; echo "$$lines"; exit 1; fi
+
 test:
 	$(GO) test ./...
 
@@ -82,7 +96,7 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check fanout-check grid-check lock-check test test-race bench-mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
+check: build vet fmt-check fanout-check grid-check lock-check sink-check test test-race bench-mc-smoke race-smoke obs-smoke obs-live-smoke pipeline-smoke frontend-smoke serve-smoke weaken-smoke stress-smoke
 
 # Model-checker scaling sweep (docs/MODEL-CHECKER.md): exhaustive
 # exploration of the litmus+seqlock corpus at 1..8 workers, appending

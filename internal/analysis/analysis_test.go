@@ -398,7 +398,7 @@ void waiter(void) {
 	if infos := DetectSpinloops(m.Func("waiter")); len(infos) != 0 {
 		t.Fatalf("pre-inline detection found %d spinloops, want 0", len(infos))
 	}
-	n := Inline(m, DefaultInlineOptions())
+	n := Inline(m)
 	if n == 0 {
 		t.Fatal("nothing inlined")
 	}
@@ -419,7 +419,7 @@ int fac(int n) {
 }
 int use(void) { return fac(5); }
 `)
-	Inline(m, DefaultInlineOptions())
+	Inline(m)
 	if err := ir.Verify(m); err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestInlinePreservesSemantics(t *testing.T) {
 int add3(int a, int b, int c) { return a + b + c; }
 int caller(void) { return add3(1, 2, 3); }
 `)
-	Inline(m, DefaultInlineOptions())
+	Inline(m)
 	if err := ir.Verify(m); err != nil {
 		t.Fatal(err)
 	}

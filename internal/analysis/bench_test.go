@@ -40,6 +40,6 @@ func BenchmarkInline(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		Inline(res.Module, DefaultInlineOptions())
+		Inline(res.Module)
 	}
 }

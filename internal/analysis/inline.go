@@ -6,39 +6,28 @@ import (
 	"repro/internal/ir"
 )
 
-// InlineOptions controls the pre-analysis inliner.
-type InlineOptions struct {
-	// MaxCalleeInstrs bounds the size of functions considered for
-	// inlining. Zero selects the default.
-	MaxCalleeInstrs int
-	// Rounds bounds the number of bottom-up passes (nested helpers need
-	// one round per nesting level). Zero selects the default.
-	Rounds int
-}
-
-// DefaultInlineOptions returns the pipeline defaults.
-func DefaultInlineOptions() InlineOptions {
-	return InlineOptions{MaxCalleeInstrs: 200, Rounds: 3}
-}
+// The pre-analysis inliner's limits.
+const (
+	// inlineMaxCalleeInstrs bounds the size of functions considered for
+	// inlining.
+	inlineMaxCalleeInstrs = 200
+	// inlineRounds bounds the number of bottom-up passes (nested helpers
+	// need one round per nesting level).
+	inlineRounds = 3
+)
 
 // Inline performs conservative function inlining on the module so that
 // loops spanning multiple functions become visible to the
 // intra-procedural spinloop analysis (paper section 3.5: "we inline
 // functions where possible beforehand"). It returns the number of call
 // sites inlined. Recursive functions are never inlined.
-func Inline(m *ir.Module, opts InlineOptions) int {
-	if opts.MaxCalleeInstrs == 0 {
-		opts.MaxCalleeInstrs = 200
-	}
-	if opts.Rounds == 0 {
-		opts.Rounds = 3
-	}
+func Inline(m *ir.Module) int {
 	recursive := findRecursive(m)
 	total := 0
-	for round := 0; round < opts.Rounds; round++ {
+	for round := 0; round < inlineRounds; round++ {
 		n := 0
 		for _, f := range m.Funcs {
-			n += inlineInto(m, f, recursive, opts.MaxCalleeInstrs)
+			n += inlineInto(m, f, recursive, inlineMaxCalleeInstrs)
 		}
 		total += n
 		if n == 0 {

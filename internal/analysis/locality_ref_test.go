@@ -307,7 +307,7 @@ func diffModule(t *testing.T, name string, m *ir.Module) int {
 	queries := 0
 	for pass := 0; pass < 2; pass++ {
 		if pass == 1 {
-			Inline(m, DefaultInlineOptions())
+			Inline(m)
 		}
 		for _, f := range m.Funcs {
 			q, diff := diffLocality(f)

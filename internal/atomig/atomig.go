@@ -53,8 +53,7 @@ type Options struct {
 	Level Level
 	// Inline enables the pre-analysis inliner (on by default via
 	// DefaultOptions) so loops spanning several functions are detected.
-	Inline        bool
-	InlineOptions analysis.InlineOptions
+	Inline bool
 
 	// DetectPolling enables the discussion-section extension that treats
 	// bounded retry loops containing wait hints (pause/yield) as
@@ -118,7 +117,7 @@ const (
 
 // DefaultOptions returns the full pipeline configuration.
 func DefaultOptions() Options {
-	return Options{Level: LevelFull, Inline: true, InlineOptions: analysis.DefaultInlineOptions()}
+	return Options{Level: LevelFull, Inline: true}
 }
 
 // ctxErr reports the cancellation state of the port's context, wrapped
@@ -216,7 +215,7 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	// Inlining stays sequential: clones of one callee body land in many
 	// callers, so concurrent inlining would race on the callee.
 	if opts.Inline {
-		rep.FunctionsInlined = analysis.Inline(m, opts.InlineOptions)
+		rep.FunctionsInlined = analysis.Inline(m)
 	}
 
 	// Phases 1+2, detection (paper sections 3.2–3.3): fanout.Each hands

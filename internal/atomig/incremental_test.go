@@ -97,7 +97,7 @@ func TestSummariesReplayOntoSnapshot(t *testing.T) {
 	}
 
 	snap := mustClone(t, base)
-	analysis.Inline(snap, opts.InlineOptions)
+	analysis.Inline(snap)
 	popts := opts
 	popts.Inline = false
 	ported, rep, err := PortClone(snap, popts)

@@ -78,11 +78,11 @@ type Options struct {
 	// MaxRaceReports caps the distinct race reports retained (0 = the
 	// detector default).
 	MaxRaceReports int
-	// Obs is the observability provider (docs/OBSERVABILITY.md): the
-	// exploration counters land in its metrics registry and, when its
-	// tracer is on, every worker records a fragment-claim/donation
-	// timeline. Nil falls back to a private registry — the counters also
-	// feed Result — with tracing off.
+	// Obs is the observability provider (docs/OBSERVABILITY.md): a
+	// check adds its Result's totals to the mc.* counters once, when it
+	// returns, and, when the tracer is on, every worker records a
+	// fragment-claim/donation timeline. Nil turns both off; Result is
+	// the same either way.
 	Obs *obs.Provider
 }
 
@@ -403,6 +403,6 @@ func replayTrace(m *ir.Module, opts Options, d *dfs) []vm.TraceEvent {
 	}
 	// A fresh visited cache: the replay never prunes inside its own
 	// prefix, and we want the full execution.
-	runOne(v, replay, newShardMap(1, nil), nil)
+	runOne(v, replay, newShardMap(1), nil)
 	return v.Result().Trace
 }

@@ -2,72 +2,45 @@ package mc
 
 import "repro/internal/obs"
 
-// The checker's exploration statistics live in the obs metrics
-// registry — the caller's provider when Options.Obs is set (so
-// `atomig-mc -metrics/-stats` read the same numbers), a private
-// registry otherwise (the counters also feed Result, so the checker
-// always needs somewhere to count). Registry counters are cumulative
-// across Checks sharing a provider; Result reports per-check deltas
-// against the baseline captured when the check started.
+// The checker counts its own work: every worker keeps a plain tally,
+// the merge adds the tallies (and a resumed check's carried counts)
+// into the Result, and publish writes the check's totals to the
+// caller's provider once, when the check returns. The registry is
+// never read back, so checks sharing a provider cannot see each
+// other's work. Only the instruments describing work in flight stay
+// live: the mc.workers_active gauge, the mc.fragment_executions
+// histogram and the worker spans.
 
-// mcCounters is the checker's resolved metric handles (one registry
-// lookup each per Check, none on the hot loop).
-type mcCounters struct {
-	execs      *obs.Counter   // mc.executions_explored
-	pruned     *obs.Counter   // mc.executions_pruned (visited-state hits)
-	truncated  *obs.Counter   // mc.executions_truncated
-	states     *obs.Counter   // mc.states_recorded
-	vmResets   *obs.Counter   // mc.vms_reset
-	vmAllocs   *obs.Counter   // mc.vms_allocated
-	contended  *obs.Counter   // mc.shard_locks_contended
-	fragsClaim *obs.Counter   // mc.fragments_claimed
-	fragsDonat *obs.Counter   // mc.fragments_donated
-	backtracks *obs.Counter   // mc.backtracks_taken
-	fragExecs  *obs.Histogram // mc.fragment_executions
-	active     *obs.Gauge     // mc.workers_active
+// tally is one worker's count of its own work.
+type tally struct {
+	execs, pruned, truncated int
+	vmResets, vmAllocs       int64
+	claimed, donated         int64
+	backtracks               int64
 }
 
-func newMCCounters(reg *obs.Registry) *mcCounters {
-	return &mcCounters{
-		execs:      reg.Counter("mc.executions_explored"),
-		pruned:     reg.Counter("mc.executions_pruned"),
-		truncated:  reg.Counter("mc.executions_truncated"),
-		states:     reg.Counter("mc.states_recorded"),
-		vmResets:   reg.Counter("mc.vms_reset"),
-		vmAllocs:   reg.Counter("mc.vms_allocated"),
-		contended:  reg.Counter("mc.shard_locks_contended"),
-		fragsClaim: reg.Counter("mc.fragments_claimed"),
-		fragsDonat: reg.Counter("mc.fragments_donated"),
-		backtracks: reg.Counter("mc.backtracks_taken"),
-		fragExecs:  reg.Histogram("mc.fragment_executions"),
-		active:     reg.Gauge("mc.workers_active"),
-	}
+// add accumulates u into t.
+func (t *tally) add(u tally) {
+	t.execs += u.execs
+	t.pruned += u.pruned
+	t.truncated += u.truncated
+	t.vmResets += u.vmResets
+	t.vmAllocs += u.vmAllocs
+	t.claimed += u.claimed
+	t.donated += u.donated
+	t.backtracks += u.backtracks
 }
 
-// mcBase is the counter baseline at Check entry; Result fields are the
-// deltas against it, so a provider shared across Checks accumulates in
-// the registry without polluting any single Result.
-type mcBase struct {
-	execs, pruned, truncated, vmResets, vmAllocs, contended int64
-}
-
-func (c *mcCounters) baseline() mcBase {
-	return mcBase{
-		execs:     c.execs.Value(),
-		pruned:    c.pruned.Value(),
-		truncated: c.truncated.Value(),
-		vmResets:  c.vmResets.Value(),
-		vmAllocs:  c.vmAllocs.Value(),
-		contended: c.contended.Value(),
-	}
-}
-
-// fill publishes the per-check deltas into the Result.
-func (c *mcCounters) fill(res *Result, b mcBase) {
-	res.Executions = int(c.execs.Value() - b.execs)
-	res.Pruned = int(c.pruned.Value() - b.pruned)
-	res.Truncated = int(c.truncated.Value() - b.truncated)
-	res.VMResets = c.vmResets.Value() - b.vmResets
-	res.VMAllocs = c.vmAllocs.Value() - b.vmAllocs
-	res.ShardContention = c.contended.Value() - b.contended
+// publish adds one check's totals to p's mc.* counters; nil-safe.
+func publish(p *obs.Provider, res *Result, t tally) {
+	p.Counter("mc.executions_explored").Add(int64(res.Executions))
+	p.Counter("mc.executions_pruned").Add(int64(res.Pruned))
+	p.Counter("mc.executions_truncated").Add(int64(res.Truncated))
+	p.Counter("mc.states_recorded").Add(int64(res.States))
+	p.Counter("mc.vms_reset").Add(res.VMResets)
+	p.Counter("mc.vms_allocated").Add(res.VMAllocs)
+	p.Counter("mc.shard_locks_contended").Add(res.ShardContention)
+	p.Counter("mc.fragments_claimed").Add(t.claimed)
+	p.Counter("mc.fragments_donated").Add(t.donated)
+	p.Counter("mc.backtracks_taken").Add(t.backtracks)
 }

@@ -24,8 +24,8 @@ import (
 // single worker has no peers, never donates, and so walks the plain
 // depth-first search. Workers share the lock-striped visited cache;
 // every other piece of mutable state (VM, replay controller, race
-// detector, findings) is worker-private and merged deterministically
-// after the pool drains.
+// detector, findings, the tally of work done) is worker-private and
+// merged deterministically after the pool drains.
 
 // unit is one frontier fragment awaiting a worker.
 type unit struct {
@@ -162,6 +162,8 @@ type mcWorker struct {
 	tokens  []*ResumeToken
 	err     error
 	corrupt bool
+	// t is the worker's count of its own work, added up by the merge.
+	t tally
 }
 
 // engine is the shared coordination state of one check.
@@ -176,13 +178,17 @@ type engine struct {
 	reasonMu sync.Mutex
 	reason   string
 
-	// c holds the shared exploration counters (registry metrics); base
-	// is the baseline for this check's Result deltas.
-	c    *mcCounters
-	base mcBase
-
-	deadline time.Time
+	// execs is the check's execution count: the resumed tokens'
+	// executions plus every execution a worker started. It is the
+	// execution budget's admission count, private to this check.
+	execs    atomic.Int64
 	maxExecs int64
+	deadline time.Time
+
+	// active and fragExecs are the live instruments: workers currently
+	// exploring and executions per claimed fragment.
+	active    *obs.Gauge
+	fragExecs *obs.Histogram
 
 	workers []*mcWorker
 }
@@ -219,8 +225,8 @@ func fragmentToken(d *dfs) *ResumeToken {
 // trace viewer shows each worker's lifetime even when it never claims
 // a fragment.
 func (e *engine) run(w *mcWorker) {
-	e.c.active.Add(1)
-	defer e.c.active.Add(-1)
+	e.active.Add(1)
+	defer e.active.Add(-1)
 	ws := w.track.Begin("mc.worker")
 	defer ws.End()
 	d := &dfs{}
@@ -244,10 +250,10 @@ func (e *engine) run(w *mcWorker) {
 				return nil, err
 			}
 			v = nv
-			e.c.vmAllocs.Inc()
+			w.t.vmAllocs++
 			return v, nil
 		}
-		e.c.vmResets.Inc()
+		w.t.vmResets++
 		return v, v.Reset()
 	}
 	for {
@@ -269,11 +275,11 @@ func (e *engine) run(w *mcWorker) {
 // its execution count, which also feeds the mc.fragment_executions
 // histogram — the donation-balance signal.
 func (e *engine) exploreFragment(w *mcWorker, d *dfs, newExec func() (*vm.VM, error)) (exit bool) {
-	e.c.fragsClaim.Inc()
+	w.t.claimed++
 	var execs int64
 	fs := w.track.Begin("mc.fragment")
 	defer func() {
-		e.c.fragExecs.Observe(execs)
+		e.fragExecs.Observe(execs)
 		fs.Arg("executions", execs).End()
 	}()
 	for {
@@ -289,12 +295,13 @@ func (e *engine) exploreFragment(w *mcWorker, d *dfs, newExec func() (*vm.VM, er
 			e.halt("time budget exhausted")
 			continue
 		}
-		if e.c.execs.AddGet(1)-e.base.execs > e.maxExecs {
-			e.c.execs.Add(-1)
+		if e.execs.Add(1) > e.maxExecs {
+			e.execs.Add(-1)
 			e.halt("execution budget exhausted")
 			continue
 		}
 		execs++
+		w.t.execs++
 		v, err := newExec()
 		if err != nil {
 			w.err = err
@@ -308,10 +315,10 @@ func (e *engine) exploreFragment(w *mcWorker, d *dfs, newExec func() (*vm.VM, er
 			return true
 		}
 		if pruned {
-			e.c.pruned.Inc()
+			w.t.pruned++
 		}
 		if truncated {
-			e.c.truncated.Inc()
+			w.t.truncated++
 		}
 		if violated != "" {
 			note(w.vios, violated, violated, d)
@@ -332,14 +339,14 @@ func (e *engine) exploreFragment(w *mcWorker, d *dfs, newExec func() (*vm.VM, er
 		if e.q.starving() {
 			if du, ok := d.split(); ok {
 				e.q.put(du)
-				e.c.fragsDonat.Inc()
+				w.t.donated++
 				w.track.Instant("mc.fragment_donated")
 			}
 		}
 		if !d.backtrack() {
 			return false
 		}
-		e.c.backtracks.Inc()
+		w.t.backtracks++
 	}
 }
 
@@ -356,26 +363,26 @@ func explore(m *ir.Module, opts Options) (res *Result, err error) {
 	start := time.Now()
 	res = &Result{Workers: workers}
 
-	c := newMCCounters(opts.Obs.RegistryOrNew())
 	e := &engine{
-		m:        m,
-		opts:     opts,
-		q:        newWorkQueue(),
-		visited:  newShardMap(workers, c.contended),
-		c:        c,
-		base:     c.baseline(),
-		deadline: start.Add(opts.TimeBudget),
-		maxExecs: int64(opts.MaxExecutions),
+		m:         m,
+		opts:      opts,
+		q:         newWorkQueue(),
+		visited:   newShardMap(workers),
+		maxExecs:  int64(opts.MaxExecutions),
+		deadline:  start.Add(opts.TimeBudget),
+		active:    opts.Obs.Gauge("mc.workers_active"),
+		fragExecs: opts.Obs.Histogram("mc.fragment_executions"),
 	}
 
-	// Carry over resumed state: counters and findings continue, and the
+	// Carry over resumed state: counts and findings continue, and the
 	// visited cache is copied (never adopted — tokens stay reusable).
+	var sum tally
 	carriedVios := make([]string, 0)
 	carriedCEs := make([]Counterexample, 0)
 	for _, t := range opts.Resume {
-		c.execs.Add(int64(t.executions))
-		c.pruned.Add(int64(t.pruned))
-		c.truncated.Add(int64(t.truncated))
+		sum.execs += t.executions
+		sum.pruned += t.pruned
+		sum.truncated += t.truncated
 		carriedVios = append(carriedVios, t.violations...)
 		carriedCEs = append(carriedCEs, t.counterexamples...)
 		for h := range t.visited {
@@ -386,6 +393,7 @@ func explore(m *ir.Module, opts Options) (res *Result, err error) {
 	if len(opts.Resume) == 0 {
 		e.q.put(unit{})
 	}
+	e.execs.Store(int64(sum.execs))
 
 	resolvedRaceMax := opts.MaxRaceReports
 	if resolvedRaceMax == 0 {
@@ -505,8 +513,15 @@ func explore(m *ir.Module, opts Options) (res *Result, err error) {
 		}
 	}
 
-	c.states.Add(int64(e.visited.size()))
-	c.fill(res, e.base)
+	for _, w := range e.workers {
+		sum.add(w.t)
+	}
+	res.Executions = sum.execs
+	res.Pruned = sum.pruned
+	res.Truncated = sum.truncated
+	res.VMResets = sum.vmResets
+	res.VMAllocs = sum.vmAllocs
+	res.ShardContention = e.visited.contended.Load()
 	res.States = e.visited.size()
 	res.Elapsed = time.Since(start)
 
@@ -566,5 +581,6 @@ func explore(m *ir.Module, opts Options) (res *Result, err error) {
 		}
 		res.Resume = rem
 	}
+	publish(opts.Obs, res, sum)
 	return res, nil
 }

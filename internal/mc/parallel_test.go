@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/memmodel"
-	"repro/internal/obs"
 )
 
 // verdictFingerprint reduces a Result to the parts the determinism
@@ -297,7 +296,7 @@ func TestDecodeResumeV1(t *testing.T) {
 // TestShardMap covers the lock-striped visited cache: insert semantics,
 // flatten, and racing inserts of overlapping hash sets.
 func TestShardMap(t *testing.T) {
-	s := newShardMap(4, obs.NewRegistry().Counter("mc.shard_locks_contended"))
+	s := newShardMap(4)
 	if len(s.shards)&(len(s.shards)-1) != 0 {
 		t.Fatalf("shard count %d not a power of two", len(s.shards))
 	}
@@ -314,7 +313,7 @@ func TestShardMap(t *testing.T) {
 	// Hashes with identical low bits land in different shards (selection
 	// uses the high bits).
 	const workers = 8
-	s = newShardMap(workers, obs.NewRegistry().Counter("mc.shard_locks_contended"))
+	s = newShardMap(workers)
 	var wg sync.WaitGroup
 	newCount := make([]int, workers)
 	for w := 0; w < workers; w++ {

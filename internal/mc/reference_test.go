@@ -30,7 +30,7 @@ func referenceCheck(m *ir.Module, opts Options) (*Result, error) {
 		opts.MaxStepsPerExec = 100_000
 	}
 	d := &dfs{}
-	visited := newShardMap(1, nil)
+	visited := newShardMap(1)
 	vopts := vm.Options{
 		Model:      opts.Model,
 		Entries:    opts.Entries,

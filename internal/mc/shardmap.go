@@ -3,8 +3,7 @@ package mc
 import (
 	"math/bits"
 	"sync"
-
-	"repro/internal/obs"
+	"sync/atomic"
 )
 
 // shardsPerWorker oversizes the shard count relative to the worker
@@ -26,9 +25,8 @@ type shardMap struct {
 	// cache (-j 1 pays no synchronization).
 	nolock bool
 	// contended counts lock acquisitions that found the shard already
-	// held (TryLock failed) — the contention signal atomig-mc -stats
-	// surfaces (registry metric mc.shard_locks_contended).
-	contended *obs.Counter
+	// held (TryLock failed): Result.ShardContention.
+	contended atomic.Int64
 }
 
 type shard struct {
@@ -40,18 +38,16 @@ type shard struct {
 }
 
 // newShardMap returns a cache with shardsPerWorker power-of-two shards
-// per worker; contended is the registry counter the TryLock-fail path
-// feeds.
-func newShardMap(workers int, contended *obs.Counter) *shardMap {
+// per worker.
+func newShardMap(workers int) *shardMap {
 	n := 1
 	for n < workers*shardsPerWorker {
 		n <<= 1
 	}
 	s := &shardMap{
-		shards:    make([]shard, n),
-		shift:     uint(64 - bits.TrailingZeros(uint(n))),
-		nolock:    workers <= 1,
-		contended: contended,
+		shards: make([]shard, n),
+		shift:  uint(64 - bits.TrailingZeros(uint(n))),
+		nolock: workers <= 1,
 	}
 	for i := range s.shards {
 		s.shards[i].m = make(map[uint64]bool)
@@ -70,7 +66,7 @@ func (s *shardMap) insert(h uint64) bool {
 		return true
 	}
 	if !sh.mu.TryLock() {
-		s.contended.Inc()
+		s.contended.Add(1)
 		sh.mu.Lock()
 	}
 	seen := sh.m[h]

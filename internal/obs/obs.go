@@ -1,8 +1,8 @@
 // Package obs is the unified observability layer shared by every
-// subsystem of the reproduction: a lock-striped metrics registry
-// (atomic counters, gauges, fixed log-scale histograms), hierarchical
-// span tracing with a Chrome trace_event JSON exporter, and a pprof
-// helper for the long-running commands.
+// subsystem of the reproduction: a metrics registry (atomic counters,
+// gauges, fixed log-scale histograms), hierarchical span tracing with
+// a Chrome trace_event JSON exporter, and a pprof helper for the
+// long-running commands.
 //
 // The seam follows the vm.Options.Hook contract: a nil *Provider means
 // the instrumented subsystem touches no atomics and allocates nothing
@@ -77,17 +77,6 @@ func (p *Provider) Track(name string) *Track {
 		return nil
 	}
 	return p.Tracer.Track(name)
-}
-
-// RegistryOrNew returns the provider's registry, or a fresh private
-// one when the provider is nil — for subsystems (the model checker)
-// whose counters also feed their structured results and therefore
-// always need somewhere to count.
-func (p *Provider) RegistryOrNew() *Registry {
-	if p != nil && p.Registry != nil {
-		return p.Registry
-	}
-	return NewRegistry()
 }
 
 // Snapshot captures the registry; nil-safe (empty snapshot).

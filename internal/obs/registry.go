@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"math/bits"
 	"regexp"
@@ -37,16 +36,6 @@ func (c *Counter) Add(d int64) {
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
-
-// AddGet increments by d and returns the new value (0 on nil) — for
-// counters that double as admission checks (the model checker's
-// execution budget).
-func (c *Counter) AddGet(d int64) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Add(d)
-}
 
 // Value returns the current count (0 on nil).
 func (c *Counter) Value() int64 {
@@ -127,22 +116,11 @@ func BucketUpper(i int) int64 {
 	return (int64(1) << i) - 1
 }
 
-// registryStripes is the stripe count of the registry's name→metric
-// maps: resolution locks one stripe picked by the name's hash, so
-// concurrent subsystems registering or resolving different metrics
-// rarely contend. The metrics themselves are plain atomics and never
-// take a lock.
-const registryStripes = 16
-
-// Registry is a lock-striped registry of named metrics. Resolving a
-// handle (Counter/Gauge/Histogram) is cheap but not free — callers on
-// hot paths resolve handles once and hold them.
+// Registry is a registry of named metrics: three maps under one lock.
+// Resolving a handle (Counter/Gauge/Histogram) takes the read lock, so
+// callers resolve handles once per run, not per event; the metrics
+// themselves are plain atomics and never take the lock.
 type Registry struct {
-	seed    maphash.Seed
-	stripes [registryStripes]stripe
-}
-
-type stripe struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
@@ -151,18 +129,11 @@ type stripe struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{seed: maphash.MakeSeed()}
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		s.counters = make(map[string]*Counter)
-		s.gauges = make(map[string]*Gauge)
-		s.histograms = make(map[string]*Histogram)
+	return &Registry{
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		histograms: make(map[string]*Histogram),
 	}
-	return r
-}
-
-func (r *Registry) stripe(name string) *stripe {
-	return &r.stripes[maphash.String(r.seed, name)%registryStripes]
 }
 
 func checkName(name string) {
@@ -171,27 +142,31 @@ func checkName(name string) {
 	}
 }
 
+// intern returns m's instrument for name, creating it on first use.
+func intern[T any](r *Registry, m map[string]*T, name string) *T {
+	r.mu.RLock()
+	x := m[name]
+	r.mu.RUnlock()
+	if x != nil {
+		return x
+	}
+	checkName(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if x = m[name]; x == nil {
+		x = new(T)
+		m[name] = x
+	}
+	return x
+}
+
 // Counter returns the named counter, creating it on first use.
 // Nil-safe: a nil registry yields a nil, no-op counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.stripe(name)
-	s.mu.RLock()
-	c := s.counters[name]
-	s.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	checkName(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c = s.counters[name]; c == nil {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
+	return intern(r, r.counters, name)
 }
 
 // Gauge returns the named gauge, creating it on first use. Nil-safe.
@@ -199,21 +174,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.stripe(name)
-	s.mu.RLock()
-	g := s.gauges[name]
-	s.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	checkName(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if g = s.gauges[name]; g == nil {
-		g = &Gauge{}
-		s.gauges[name] = g
-	}
-	return g
+	return intern(r, r.gauges, name)
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -222,21 +183,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	s := r.stripe(name)
-	s.mu.RLock()
-	h := s.histograms[name]
-	s.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	checkName(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if h = s.histograms[name]; h == nil {
-		h = &Histogram{}
-		s.histograms[name] = h
-	}
-	return h
+	return intern(r, r.histograms, name)
 }
 
 // Snapshot is a point-in-time copy of every metric, in the versioned
@@ -306,32 +253,29 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return snap
 	}
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		s.mu.RLock()
-		for name, c := range s.counters {
-			snap.Counters[name] = c.Value()
-		}
-		for name, g := range s.gauges {
-			snap.Gauges[name] = g.Value()
-		}
-		for name, h := range s.histograms {
-			hs := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
-			// Index order is upper-bound order, so the slice is sorted by
-			// construction.
-			for b := 0; b < histBuckets; b++ {
-				if n := h.buckets[b].Load(); n > 0 {
-					hs.Buckets = append(hs.Buckets, BucketSnapshot{Upper: BucketUpper(b), N: n})
-				}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for name, c := range r.counters {
+		snap.Counters[name] = c.Value()
+	}
+	for name, g := range r.gauges {
+		snap.Gauges[name] = g.Value()
+	}
+	for name, h := range r.histograms {
+		hs := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
+		// Index order is upper-bound order, so the slice is sorted by
+		// construction.
+		for b := 0; b < histBuckets; b++ {
+			if n := h.buckets[b].Load(); n > 0 {
+				hs.Buckets = append(hs.Buckets, BucketSnapshot{Upper: BucketUpper(b), N: n})
 			}
-			// Quantiles are derived from the bucket reads above, so they are
-			// self-consistent even under concurrent observation.
-			hs.P50 = hs.Quantile(0.50)
-			hs.P95 = hs.Quantile(0.95)
-			hs.P99 = hs.Quantile(0.99)
-			snap.Histograms[name] = hs
 		}
-		s.mu.RUnlock()
+		// Quantiles are derived from the bucket reads above, so they are
+		// self-consistent even under concurrent observation.
+		hs.P50 = hs.Quantile(0.50)
+		hs.P95 = hs.Quantile(0.95)
+		hs.P99 = hs.Quantile(0.99)
+		snap.Histograms[name] = hs
 	}
 	return snap
 }

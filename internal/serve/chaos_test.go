@@ -148,9 +148,9 @@ func TestChaosStorm(t *testing.T) {
 }
 
 // TestPanicUnderSessionReadLock: a panic while a port copies the
-// snapshot under the session's read lock is answered as internal, and
-// the lock is released, so the recovery's poisoning of the summaries
-// and the next requests on the session go through.
+// snapshot it read under the session's read lock is answered as
+// internal, and the lock is not left held, so the recovery's poisoning
+// of the summaries and the next requests on the session go through.
 func TestPanicUnderSessionReadLock(t *testing.T) {
 	leakcheck.Check(t)
 	srv, c := startServer(t, Options{})
@@ -398,6 +398,24 @@ func TestOverloadAndDrain(t *testing.T) {
 	srv.Drain()
 }
 
+// TestSequentialClientNeverShed: a client that waits for each answer
+// before it sends the next request never finds its previous request
+// still holding the only admission slot — the slot is back before the
+// answer is written.
+func TestSequentialClientNeverShed(t *testing.T) {
+	leakcheck.Check(t)
+	srv, c := startServer(t, Options{QueueDepth: 1})
+	const calls = 2000
+	for i := 0; i < calls; i++ {
+		if r := c.call(&Request{ID: fmt.Sprintf("s%d", i), Op: "stats"}); !r.OK {
+			t.Fatalf("call %d of %d: %s: %s", i+1, calls, r.ErrKind, r.Error)
+		}
+	}
+	if n := srv.c.overloaded.Value(); n != 0 {
+		t.Errorf("serve.requests_overloaded = %d, want 0", n)
+	}
+}
+
 // TestHTTPListener drives the live-telemetry surface through a full
 // daemon lifecycle: valid Prometheus and JSON exposition, a mid-flight
 // scrape whose counters cross-check against the end-of-run snapshot,
@@ -459,7 +477,14 @@ func TestHTTPListener(t *testing.T) {
 	// degrades.
 	ch := c.expect("hold-1")
 	c.send(&Request{ID: "hold-1", Op: "port"})
-	<-entered
+	select {
+	case <-entered:
+	case r := <-ch:
+		t.Fatalf("hold-1 answered without holding the slot: ok=%t kind=%q (%s)", r.OK, r.ErrKind, r.Error)
+	case <-time.After(30 * time.Second):
+		close(gate)
+		t.Fatal("hold-1 never reached its handler")
+	}
 	code, scrape := get("/metrics")
 	if code != http.StatusOK {
 		t.Errorf("/metrics status %d", code)

@@ -417,7 +417,6 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 		go func(req *Request, slot int) {
 			defer connWG.Done()
 			defer s.inflight.Done()
-			defer func() { s.slots <- slot }()
 			s.handle(req, slot, send)
 		}(req, slot)
 	}
@@ -473,7 +472,8 @@ func (s *Server) ServeListener(l net.Listener) error {
 }
 
 // handle runs one admitted request to completion: deadline, watchdog,
-// panic containment, single-shot response.
+// panic containment, single-shot response. It returns the admission
+// slot.
 func (s *Server) handle(req *Request, slot int, send func(*Response)) {
 	start := time.Now()
 	rid := s.rid()
@@ -482,11 +482,18 @@ func (s *Server) handle(req *Request, slot int, send func(*Response)) {
 	s.live.Add(1)
 	s.lg.Event("serve.request_admitted").
 		Str("rid", rid).Str("id", req.ID).Str("op", req.Op).Int("slot", int64(slot)).Emit()
-	defer func() {
+	// release gives the slot back. The worker's answer releases it before
+	// the response is written, so a client that waits for each answer
+	// never finds its own previous request still holding the slot. A
+	// request the watchdog answered keeps its slot until its goroutine
+	// returns (the deferred call).
+	release := sync.OnceFunc(func() {
 		s.c.inflight.Add(-1)
 		s.live.Add(-1)
-		s.c.durationMS.Observe(time.Since(start).Milliseconds())
-	}()
+		s.slots <- slot
+	})
+	defer release()
+	defer func() { s.c.durationMS.Observe(time.Since(start).Milliseconds()) }()
 
 	deadline := s.opts.Deadline
 	if req.DeadlineMS > 0 {
@@ -502,9 +509,10 @@ func (s *Server) handle(req *Request, slot int, send func(*Response)) {
 	}
 
 	// Single-shot response: the first of {worker result, watchdog
-	// verdict} wins; the loser's reply is dropped.
+	// verdict} wins; the loser's reply is dropped. A winning worker
+	// releases its slot before the response is written.
 	var once sync.Once
-	reply := func(r *Response) {
+	reply := func(r *Response, worker bool) {
 		once.Do(func() {
 			r.ID = req.ID
 			if r.OK {
@@ -523,6 +531,9 @@ func (s *Server) handle(req *Request, slot int, send func(*Response)) {
 				Str("rid", rid).Str("id", req.ID).Str("op", req.Op).
 				Bool("ok", r.OK).Str("err_kind", r.ErrKind).
 				Int("dur_us", time.Since(start).Microseconds()).Emit()
+			if worker {
+				release()
+			}
 			send(r)
 		})
 	}
@@ -538,7 +549,7 @@ func (s *Server) handle(req *Request, slot int, send func(*Response)) {
 		s.lg.Event("serve.watchdog_fired").
 			Str("rid", rid).Str("id", req.ID).Str("op", req.Op).Emit()
 		cancel()
-		reply(errResp(ErrDeadline, "request exceeded deadline %s and grace %s (watchdog)", deadline, s.opts.Grace))
+		reply(errResp(ErrDeadline, "request exceeded deadline %s and grace %s (watchdog)", deadline, s.opts.Grace), false)
 		// The forensic record of what the wedged request was doing —
 		// written after the client has its answer.
 		s.dumpFlight("watchdog", rid, req)
@@ -564,7 +575,7 @@ func (s *Server) handle(req *Request, slot int, send func(*Response)) {
 			resp.ErrKind = ErrInternal
 		}
 	}
-	reply(resp)
+	reply(resp, true)
 }
 
 // execute dispatches one request with panic containment: a crash in

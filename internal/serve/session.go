@@ -35,9 +35,10 @@ import (
 type session struct {
 	name string
 
-	// mu orders mutations (load, edit — exclusive) against queries
-	// (port, dump, explain, verify — shared; they clone under the read
-	// lock and release it before the expensive work).
+	// mu guards the pointers below: mutations (edit, poison, a port's
+	// publication) replace them under the write lock, and queries (port,
+	// dump, explain, verify) read them under the read lock and copy or
+	// render what they read after releasing it.
 	mu sync.RWMutex
 
 	// base, snap and sums are replaced, never mutated, once published:
@@ -159,7 +160,7 @@ func langOf(lang, name string) string {
 func (s *session) rebuild(base *ir.Module, changed map[string]bool) int {
 	scratch := base.Derive(nil)
 	scratch.ReplaceFuncs(calleeClosure(base, changed)...)
-	analysis.Inline(scratch, atomig.DefaultOptions().InlineOptions)
+	analysis.Inline(scratch)
 
 	snap := scratch
 	var fresh []*ir.Func
@@ -366,15 +367,16 @@ func (s *session) port(ctx context.Context, workers int, prov *obs.Provider) (*i
 	return clone, rep, nil
 }
 
-// cloneSnapshot copies the analyzed snapshot and its summary slots and
-// reads the generation under the read lock. The unlock is deferred so
-// that a panic in the copy cannot leave the lock held: the recovery
-// poisons the session, which takes the write lock.
+// cloneSnapshot reads the analyzed snapshot, its summary slots and the
+// generation under the read lock, and copies the snapshot and the slots
+// after releasing it: published versions are never mutated, so an edit
+// or a poison need not wait behind the copy.
 func (s *session) cloneSnapshot() (*ir.Module, []*atomig.FuncSummary, uint64, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	clone, err := ir.CloneModule(s.snap)
-	return clone, slices.Clone(s.sums), s.gen, err
+	snap, sums, gen := s.snap, s.sums, s.gen
+	s.mu.RUnlock()
+	clone, err := ir.CloneModule(snap)
+	return clone, slices.Clone(sums), gen, err
 }
 
 // optimize ports the session and runs the weakening optimizer on the
@@ -420,17 +422,21 @@ func (s *session) optimize(ctx context.Context, workers int, prov *obs.Provider,
 
 // dumpBase renders the un-ported module (the CLI-equivalence input).
 func (s *session) dumpBase() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.base.String()
+	return s.current().String()
 }
 
 // cloneBase returns a private copy of the un-ported module for
 // read-only analyses that execute it (race sweeps).
 func (s *session) cloneBase() (*ir.Module, error) {
+	return ir.CloneModule(s.current())
+}
+
+// current returns the published un-ported module. It is read under the
+// read lock and never mutated, so callers render or copy it unlocked.
+func (s *session) current() *ir.Module {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return ir.CloneModule(s.base)
+	return s.base
 }
 
 // poison empties every summary slot, drops the optimize memo and moves

@@ -27,7 +27,7 @@ func (s *session) rebuildReference() error {
 	if err != nil {
 		return err
 	}
-	analysis.Inline(snap, atomig.DefaultOptions().InlineOptions)
+	analysis.Inline(snap)
 	s.snap = snap
 	return nil
 }

@@ -79,8 +79,9 @@ type Options struct {
 	Outcomes bool
 	// Context, when non-nil, cancels the sweep between schedules.
 	Context context.Context
-	// Obs, when non-nil, records the stress.* counters and spans
-	// (docs/OBSERVABILITY.md).
+	// Obs, when non-nil, receives the sweep's stress.* counters once,
+	// when it returns without error, a stress.schedule_steps observation
+	// per schedule, and spans (docs/OBSERVABILITY.md).
 	Obs *obs.Provider
 }
 
@@ -285,9 +286,6 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 		workers = len(cells)
 	}
 
-	cSched := opts.Obs.Counter("stress.schedules_run")
-	cForwarded := opts.Obs.Counter("stress.accesses_forwarded")
-	cSkipped := opts.Obs.Counter("stress.accesses_skipped")
 	hSteps := opts.Obs.Histogram("stress.schedule_steps")
 	sp := opts.Obs.Track("stress").Begin("stress.sweep").
 		Arg("module", m.Name).Arg("cells", len(cells)).
@@ -339,7 +337,6 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 		c := &cells[i]
 		c.ran = true
 		c.steps = res.Steps
-		cSched.Inc()
 		hSteps.Observe(res.Steps)
 		switch res.Status {
 		case vm.StatusAssertFailed, vm.StatusDeadlock:
@@ -438,8 +435,9 @@ func Sweep(m *ir.Module, opts Options) (res *Result, err error) {
 			out.VMAllocs += sw.allocs
 		}
 	}
-	cForwarded.Add(out.Forwarded)
-	cSkipped.Add(out.Skipped)
+	opts.Obs.Counter("stress.schedules_run").Add(int64(out.Schedules))
+	opts.Obs.Counter("stress.accesses_forwarded").Add(out.Forwarded)
+	opts.Obs.Counter("stress.accesses_skipped").Add(out.Skipped)
 	out.Elapsed = time.Since(start)
 	if races, viols := out.tallyFindings(); races+viols > 0 {
 		opts.Obs.Counter("stress.races_found").Add(int64(races))

@@ -2,45 +2,25 @@ package weaken
 
 import "repro/internal/obs"
 
-// counters are the weaken.* metrics of one optimization run
-// (docs/OBSERVABILITY.md). Counters are cumulative across runs sharing
-// a provider — a bench sweep optimizing many modules sums naturally —
-// and everything is nil-safe: a nil provider yields no-op handles.
-type counters struct {
-	runs          *obs.Counter
-	tried         *obs.Counter
-	accepted      *obs.Counter
-	rejected      *obs.Counter
-	rounds        *obs.Counter
-	frozen        *obs.Counter
-	sitesWeakened *obs.Counter
-	fencesDeleted *obs.Counter
-	costReduced   *obs.Counter
-	verifyMicros  *obs.Histogram
-}
-
-func newCounters(p *obs.Provider) counters {
-	return counters{
-		runs:          p.Counter("weaken.runs_completed"),
-		tried:         p.Counter("weaken.candidates_tried"),
-		accepted:      p.Counter("weaken.candidates_accepted"),
-		rejected:      p.Counter("weaken.candidates_rejected"),
-		rounds:        p.Counter("weaken.rounds_run"),
-		frozen:        p.Counter("weaken.sites_frozen"),
-		sitesWeakened: p.Counter("weaken.sites_weakened"),
-		fencesDeleted: p.Counter("weaken.fences_deleted"),
-		costReduced:   p.Counter("weaken.cost_reduced"),
-		verifyMicros:  p.Histogram("weaken.verify_micros"),
+// publish adds one completed run's totals to p's weaken.* counters
+// (docs/OBSERVABILITY.md): the run counts its work in its Result, and
+// the registry only receives it, once, when the run returns without
+// error. frozen is the number of sites the run froze. Counters are
+// cumulative across runs sharing a provider, so a bench sweep
+// optimizing many modules sums naturally; nil-safe.
+func publish(p *obs.Provider, res *Result, frozen int) {
+	var saved int64
+	for _, d := range res.Decisions {
+		saved += d.CostDelta
 	}
-}
-
-// publish records the run-level outcomes that are not incremented
-// along the way: one run completed, weakening this many distinct
-// sites (fence deletions included — a decision is a site).
-func (c counters) publish(res *Result) {
-	if res == nil {
-		return
-	}
-	c.runs.Inc()
-	c.sitesWeakened.Add(int64(len(res.Decisions)))
+	p.Counter("weaken.runs_completed").Inc()
+	p.Counter("weaken.candidates_tried").Add(int64(res.Tried))
+	p.Counter("weaken.candidates_accepted").Add(int64(res.Accepted))
+	p.Counter("weaken.candidates_rejected").Add(int64(res.Rejected))
+	p.Counter("weaken.rounds_run").Add(int64(res.Rounds))
+	p.Counter("weaken.sites_frozen").Add(int64(frozen))
+	// A decision is a site: fence deletions count as weakened sites.
+	p.Counter("weaken.sites_weakened").Add(int64(len(res.Decisions)))
+	p.Counter("weaken.fences_deleted").Add(int64(res.FencesDeleted))
+	p.Counter("weaken.cost_reduced").Add(saved)
 }

@@ -128,7 +128,7 @@ func (w *weakener) verify(m *ir.Module, role checkRole) (res *mc.Result, stresse
 	if err != nil {
 		return nil, stressed, err
 	}
-	w.c.verifyMicros.Observe(res.Elapsed.Microseconds())
+	w.verifyMicros.Observe(res.Elapsed.Microseconds())
 	return res, stressed, nil
 }
 

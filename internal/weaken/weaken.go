@@ -113,8 +113,9 @@ type Options struct {
 	// re-verified cumulatively, and a batch applied for a check that
 	// is canceled is reverted, so a canceled run is still sound).
 	Context context.Context
-	// Obs, when non-nil, records weaken.* counters and spans
-	// (docs/OBSERVABILITY.md).
+	// Obs, when non-nil, receives the run's weaken.* counters once, when
+	// it returns without error, a weaken.verify_micros observation per
+	// verification, and spans (docs/OBSERVABILITY.md).
 	Obs *obs.Provider
 }
 
@@ -270,7 +271,9 @@ type weakener struct {
 	baseRace map[string]bool
 	sites    []site
 	res      *Result
-	c        counters
+	// verifyMicros is the live weaken.verify_micros histogram: one
+	// observation per verification as it returns.
+	verifyMicros *obs.Histogram
 }
 
 // Optimize weakens m in place to a fixpoint and returns the report.
@@ -310,8 +313,8 @@ func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, erro
 	start := time.Now()
 	w := &weakener{
 		m: m, opts: opts, cost: cost,
-		res: &Result{Module: m.Name, Arch: cost.Name, Workers: workers},
-		c:   newCounters(opts.Obs),
+		res:          &Result{Module: m.Name, Arch: cost.Name, Workers: workers},
+		verifyMicros: opts.Obs.Histogram("weaken.verify_micros"),
 	}
 	if opts.Oracle != OracleExhaustive {
 		w.res.Oracle = opts.Oracle.String()
@@ -326,7 +329,7 @@ func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, erro
 		w.res.Duration = time.Since(start)
 		os.End()
 		if err == nil {
-			w.c.publish(w.res)
+			publish(opts.Obs, w.res, w.frozen())
 			ev := opts.Obs.Log().Event("weaken.optimize_completed").
 				Str("module", m.Name).Str("arch", cost.Name).
 				Int("accepted", int64(w.res.Accepted)).
@@ -381,7 +384,6 @@ func optimize(m *ir.Module, opts Options, round func(*weakener, int) (bool, erro
 		if err != nil {
 			return nil, err
 		}
-		w.c.rounds.Inc()
 		if !changed {
 			break
 		}
@@ -576,11 +578,21 @@ func (w *weakener) candidates() []candidate {
 // committed.
 func (w *weakener) freeze(cands []candidate, committed map[int]bool) {
 	for _, c := range cands {
-		if s := &w.sites[c.siteIdx]; !committed[c.siteIdx] && !s.frozen {
-			s.frozen = true
-			w.c.frozen.Inc()
+		if !committed[c.siteIdx] {
+			w.sites[c.siteIdx].frozen = true
 		}
 	}
+}
+
+// frozen counts the frozen sites.
+func (w *weakener) frozen() int {
+	n := 0
+	for _, s := range w.sites {
+		if s.frozen {
+			n++
+		}
+	}
+	return n
 }
 
 // merge commits screened survivors in site order by group testing. It
@@ -821,7 +833,6 @@ func (w *weakener) record(a applied) {
 		d.CostDelta = w.cost.fenceCost(a.prev)
 		s.deleted = true
 		w.res.FencesDeleted++
-		w.c.fencesDeleted.Inc()
 	} else {
 		before := *s.in
 		before.Ord = a.prev
@@ -830,7 +841,6 @@ func (w *weakener) record(a applied) {
 	}
 	w.res.Decisions = append(w.res.Decisions, d)
 	w.res.CostAfter -= d.CostDelta
-	w.c.costReduced.Add(d.CostDelta)
 	w.tally(true)
 }
 
@@ -858,13 +868,10 @@ func (w *weakener) accepted(res *mc.Result) bool {
 // than calling it from workers.
 func (w *weakener) tally(ok bool) {
 	w.res.Tried++
-	w.c.tried.Inc()
 	if ok {
 		w.res.Accepted++
-		w.c.accepted.Inc()
 	} else {
 		w.res.Rejected++
-		w.c.rejected.Inc()
 	}
 }
 
