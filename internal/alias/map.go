@@ -31,15 +31,15 @@ func BuildMap(m *ir.Module) *Map { return BuildMapFromAccesses(m, 1, nil) }
 
 // Access is one memory access's contribution to the alias map: the
 // access instruction, its position, and the descriptors of its address
-// (Reprs). PrepareFunc computes contributions per function; a cached
+// (Reprs). PrepareFunc computes contributions per function; a summarized
 // slice replayed onto an instruction-identical function instance feeds
 // BuildMapFromAccesses exactly as a fresh scan would.
 type Access struct {
 	In *ir.Instr
 	// Pos is In's 1-based position in the function's block-order
-	// instruction walk. The map does not read it; the detection
-	// cache's replay (atomig's incremental.go) checks a cached access
-	// against it.
+	// instruction walk. The map does not read it; a detection
+	// summary's replay (atomig's incremental.go) checks a summarized
+	// access against it.
 	Pos     int
 	Primary Loc
 	Extras  []Loc

@@ -85,9 +85,10 @@ type Options struct {
 	// every value — see docs/PIPELINE.md for the determinism contract.
 	Workers int
 	// Context, when non-nil, cancels the port early: workers stop
-	// claiming functions and Port returns the context's error. The
-	// module is left partially transformed — callers that may cancel
-	// should port a clone (PortClone), as the serving daemon does.
+	// claiming functions and Port returns the context's error. Port
+	// leaves its module partially transformed, so callers that may
+	// cancel should use PortShared (as the serving daemon does) or
+	// PortClone, which never write the module they are given.
 	Context context.Context
 	// Summaries, when non-nil, holds one detection summary slot per
 	// m.Funcs entry (a different length is an error). A filled slot is
@@ -176,17 +177,44 @@ type Report struct {
 	CacheHits   int
 	CacheMisses int
 
+	// FunctionsCopied counts the source functions PortShared copied
+	// because the port writes them; every other function of its module
+	// is the source's own. Port writes in place and copies none.
+	FunctionsCopied int
+
 	// Duration is the wall-clock time of the port (Table 3's build-time
 	// comparison measures this against plain compilation).
 	Duration time.Duration
 }
 
 // Port runs the atomig pipeline on m in place and returns the report.
-// Callers that need to keep the original should clone the module first
-// (ir.CloneModule). Internal panics anywhere in the pipeline are
-// contained by the diag guard and returned as structured errors.
+// Callers that need to keep the original should use PortShared or
+// PortClone. Internal panics anywhere in the pipeline are contained by
+// the diag guard and returned as structured errors.
 func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	defer diag.Guard("atomig.Port", &err)
+	return runPipeline(m, newOwner(m, false), opts)
+}
+
+// PortShared ports src without writing it and returns the ported
+// module, which shares every function the pipeline leaves unchanged
+// with src and holds a private copy of each function it writes, made
+// just before the first write (docs/PIPELINE.md). src must be verified:
+// PortShared verifies only the functions it copied. The ported module
+// and src share functions, so neither may be written afterwards; a
+// caller that needs to change the result copies it first.
+func PortShared(src *ir.Module, opts Options) (m *ir.Module, rep *Report, err error) {
+	defer diag.Guard("atomig.PortShared", &err)
+	m = src.Derive(src.Funcs)
+	if rep, err = runPipeline(m, newOwner(m, true), opts); err != nil {
+		return nil, nil, err
+	}
+	return m, rep, nil
+}
+
+// runPipeline runs the pipeline on m, writing a function only once o
+// owns it.
+func runPipeline(m *ir.Module, o *owner, opts Options) (rep *Report, err error) {
 	if opts.Summaries != nil && len(opts.Summaries) != len(m.Funcs) {
 		return nil, fmt.Errorf("atomig: %d summary slots for %d functions", len(opts.Summaries), len(m.Funcs))
 	}
@@ -196,7 +224,6 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 		workers = 1
 	}
 	rep = &Report{Module: m.Name, Level: opts.Level, Workers: workers}
-	rep.ExplicitBefore, rep.ImplicitBefore = transform.CountBarriers(m)
 
 	// Every phase gets a span on the shared "pipeline" track, and the
 	// report tallies land in the registry when the port finishes — both
@@ -205,22 +232,33 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	ps := trk.Begin("pipeline.port").Arg("module", m.Name).
 		Arg("level", opts.Level.String()).Arg("workers", workers)
 	defer func() {
+		if err == nil {
+			ps.Arg("copied", rep.FunctionsCopied)
+		}
 		ps.End()
 		if err == nil {
 			publishReport(opts.Obs, rep)
 		}
 	}()
 
+	if opts.Inline || opts.Optimize {
+		// Either may rewrite any function, so the port owns them all.
+		o.ownAll()
+	}
 	sp := trk.Begin("pipeline.analysis")
 	// Inlining stays sequential: clones of one callee body land in many
-	// callers, so concurrent inlining would race on the callee.
+	// callers, so concurrent inlining would race on the callee. The
+	// barrier inventory is the module's as given, so it is taken before
+	// inlining copies callee bodies into callers; without inlining,
+	// detection takes it per function.
 	if opts.Inline {
+		rep.ExplicitBefore, rep.ImplicitBefore = transform.CountBarriers(m)
 		rep.FunctionsInlined = analysis.Inline(m)
 	}
 
 	// Phases 1+2, detection (paper sections 3.2–3.3): fanout.Each hands
 	// out the functions, and each call fills its per-function result
-	// slot. Each worker mutates only the function it holds (the explicit
+	// slot. Each worker writes only the function it holds (the explicit
 	// upgrades); everything cross-function — marking, counting, seed
 	// collection — happens in the in-order merge below, so the results
 	// are identical for every worker count. A filled summary slot replays
@@ -231,18 +269,40 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	// upgraded) seed exploration too: "any atomic operations already
 	// found in the program invariably indicate the presence of concurrent
 	// accesses".
+	//
+	// A shared function that detection or the merge will write — its
+	// slot is empty, or its summary records a write — is detected on a
+	// copy, and so is one whose summary does not fit; the merge installs
+	// the copies. Every other shared function replays read-only.
 	det := make([]funcDetect, len(m.Funcs))
 	accs := make([][]alias.Access, len(m.Funcs))
 	hit := make([]bool, len(m.Funcs))
+	copies := make([]*ir.Func, len(m.Funcs))
 	err = fanout.Each(workers, len(m.Funcs), func(_, fi int) error {
 		if err := opts.ctxErr(); err != nil {
 			return err
 		}
 		var slot **FuncSummary
+		var sum *FuncSummary
 		if opts.Summaries != nil {
 			slot = &opts.Summaries[fi]
+			sum = *slot
 		}
-		det[fi], accs[fi], hit[fi] = detectFunc(m.Funcs[fi], opts, slot)
+		f := m.Funcs[fi]
+		if o.isShared(fi) && (sum == nil || sum.writes()) {
+			f = m.CopyFunc(f)
+			copies[fi] = f
+		}
+		if sum != nil {
+			if det[fi], accs[fi], hit[fi] = sum.replay(f); hit[fi] {
+				return nil
+			}
+		}
+		if o.isShared(fi) && copies[fi] == nil {
+			f = m.CopyFunc(f) // the summary does not fit, and analysis writes
+			copies[fi] = f
+		}
+		det[fi], accs[fi] = detectFunc(f, opts, slot)
 		return nil
 	})
 	if err != nil {
@@ -254,7 +314,17 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	optLocs := make(map[alias.Loc]bool)
 	var optLoops []*analysis.SpinloopInfo
 	for fi := range det {
+		if copies[fi] != nil {
+			o.install(fi, copies[fi])
+		}
 		d := &det[fi]
+		if !opts.Inline {
+			rep.ExplicitBefore += d.expl.Fences
+			rep.ImplicitBefore += d.expl.Atomics
+		}
+		if d.expl.VolatileConverted+d.expl.AtomicUpgraded > 0 {
+			o.written[fi] = true
+		}
 		if opts.Summaries != nil {
 			if hit[fi] {
 				rep.CacheHits++
@@ -268,6 +338,7 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 		for _, info := range d.spin {
 			rep.Spinloops++
 			for _, ctl := range info.Controls {
+				ctl = o.write(ctl)
 				ctl.SetMark(ir.MarkSpinControl)
 				if transform.MakeAccessSC(ctl, ir.MarkSpinControl) {
 					implicitAdded++
@@ -282,7 +353,7 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 					optLocs[loc] = true
 				}
 				for _, ctl := range info.Controls {
-					ctl.SetMark(ir.MarkOptControl)
+					o.write(ctl).SetMark(ir.MarkOptControl)
 					rep.OptControlsMarked++
 				}
 			}
@@ -291,6 +362,7 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 		for _, info := range d.polling {
 			rep.PollingLoops++
 			for _, ctl := range info.Controls {
+				ctl = o.write(ctl)
 				ctl.SetMark(ir.MarkSpinControl)
 				if transform.MakeAccessSC(ctl, ir.MarkSpinControl) {
 					implicitAdded++
@@ -301,6 +373,7 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 		// Extension: compiler-barrier-adjacent accesses as seeds.
 		for _, in := range d.barrier {
 			rep.BarrierSeeded++
+			in = o.write(in)
 			in.SetMark(ir.MarkFromAsm)
 			if transform.MakeAccessSC(in, ir.MarkFromAsm) {
 				implicitAdded++
@@ -314,6 +387,8 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	// Phase 3: alias exploration (paper section 3.4) — sticky buddies.
 	// The map is folded in module order from the accesses detection
 	// prepared; exploration and marking read its classes in that order.
+	// A buddy that is not yet seq_cst is written, so its function is
+	// copied first when it is shared.
 	sp = trk.Begin("pipeline.alias")
 	am := alias.BuildMapFromAccesses(m, workers, func(fi int, f *ir.Func) []alias.Access {
 		return accs[fi]
@@ -328,9 +403,10 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 		}
 		rep.BuddiesExplored = len(buddies)
 		for _, buddy := range buddies {
-			if buddy.Ord == ir.SeqCst {
+			if o.current(buddy).Ord == ir.SeqCst {
 				continue
 			}
+			buddy = o.write(buddy)
 			buddy.SetMark(ir.MarkSticky)
 			if transform.MakeAccessSC(buddy, ir.MarkSticky) {
 				implicitAdded++
@@ -344,8 +420,10 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 	// optimistic-control location inside its optimistic loop get a fence
 	// before them; stores to optimistic-control locations get a fence
 	// after them module-wide (the store side of the seqlock protocol can
-	// be anywhere). Fence IDs come from each function's own counter, so
-	// the pass fans out per function without losing determinism.
+	// be anywhere). The fan-out finds each function's anchors without
+	// writing; the in-order merge splices the fences, copying a shared
+	// function first. Fence IDs come from each function's own counter, so
+	// the result does not depend on the worker count.
 	sp = trk.Begin("pipeline.transform")
 	fences := 0
 	if opts.Level >= LevelFull && len(optLocs) > 0 {
@@ -363,26 +441,41 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 			}
 			byFn[info.Fn] = append(byFn[info.Fn], optLoopCtl{loop: info.Loop, ctl: ctl})
 		}
-		fenceCount := make([]int, len(m.Funcs))
+		anchors := make([]fenceAnchors, len(m.Funcs))
 		err = fanout.Each(workers, len(m.Funcs), func(_, fi int) error {
 			if err := opts.ctxErr(); err != nil {
 				return err
 			}
 			f := m.Funcs[fi]
-			fenceCount[fi] = insertOptFences(f, accs[fi], byFn[f], canonOpt, am)
+			anchors[fi] = optFenceAnchors(f, accs[fi], byFn[f], canonOpt, am)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, n := range fenceCount {
-			fences += n
+		for _, a := range anchors {
+			for _, in := range a.before {
+				transform.InsertFenceBefore(o.write(in))
+			}
+			for _, in := range a.after {
+				transform.InsertFenceAfter(o.write(in))
+			}
+			fences += len(a.before) + len(a.after)
 		}
 	}
 
 	rep.ImplicitAdded = implicitAdded
 	rep.ExplicitAdded = fences
-	rep.ExplicitAfter, rep.ImplicitAfter = transform.CountBarriers(m)
+	// A function the port did not write keeps the inventory detection
+	// took; only the written ones are recounted.
+	for fi, f := range m.Funcs {
+		e, i := det[fi].expl.Fences, det[fi].expl.Atomics
+		if o.written[fi] {
+			e, i = transform.CountFuncBarriers(f)
+		}
+		rep.ExplicitAfter += e
+		rep.ImplicitAfter += i
+	}
 	sp.Arg("fences", fences).End()
 
 	// Phase 5: outstanding optimizations (Figure 2), now that every
@@ -396,11 +489,12 @@ func Port(m *ir.Module, opts Options) (rep *Report, err error) {
 		sp.End()
 	}
 	sp = trk.Begin("pipeline.verify")
-	verr := ir.Verify(m)
+	verr := o.verify()
 	sp.End()
 	if verr != nil {
 		return nil, fmt.Errorf("atomig: transformed module invalid: %w", verr)
 	}
+	rep.FunctionsCopied = o.copied
 	rep.Duration = time.Since(start)
 	return rep, nil
 }

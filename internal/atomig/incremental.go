@@ -1,17 +1,20 @@
 // Incremental detection: per-function summaries of the detection phase.
 // The whole phase — dominator trees, natural-loop discovery, influence
 // slices, alias descriptor computation (alias.Reprs), barrier-seed and
-// atomic-access collection, and the explicit-annotation upgrade
-// mutations — is a pure function of the function body, the module's
-// struct layouts and global annotations, and the pipeline options. A
-// caller that keeps all of those but the bodies fixed (the serving
-// daemon's session) can keep each function's summary and replay it onto
-// a fresh clone of the same function in a single walk. The upgrade
-// mutations replay through the same transform.MakeAccessSC calls the
-// cold path makes, and every ordinal is validated before anything
-// mutates, so a summary that does not fit falls back to full
-// re-analysis and the ported output is byte-identical either way
-// (docs/SERVE.md covers when the daemon drops a summary).
+// atomic-access collection, the barrier inventory, and the
+// explicit-annotation upgrade mutations — is a pure function of the
+// function body, the module's struct layouts and global annotations,
+// and the pipeline options. A caller that keeps all of those but the
+// bodies fixed (the serving daemon's session) can keep each function's
+// summary and replay it onto the same function, or onto a copy, in a
+// single walk. A summary that records no write replays read-only, so
+// PortShared replays it on the source's own function; one that does is
+// replayed on a copy. The upgrade mutations replay through the same
+// transform.MakeAccessSC calls the cold path makes, and every ordinal
+// is validated before anything mutates, so a summary that does not fit
+// falls back to full re-analysis and the ported output is
+// byte-identical either way (docs/SERVE.md covers when the daemon drops
+// a summary).
 package atomig
 
 import (
@@ -164,11 +167,11 @@ func summarizeLoops(infos []*analysis.SpinloopInfo, sc *funcScan) []loopSummary 
 }
 
 // replay materializes the complete detection result — including the
-// upgrade mutations — against a fresh instance of the same function.
-// Every ordinal is validated before anything is mutated, so a rejected
-// summary (one made for another body) leaves the function untouched and
-// ok false — the caller falls back to full re-analysis, the safe
-// degradation mode.
+// barrier inventory and the upgrade mutations — against an instance of
+// the same function. Every ordinal is validated before anything is
+// mutated, so a rejected summary (one made for another body) leaves the
+// function untouched and ok false — the caller falls back to full
+// re-analysis, the safe degradation mode.
 func (s *FuncSummary) replay(f *ir.Func) (d funcDetect, accs []alias.Access, ok bool) {
 	instrs := flatInstrs(f)
 	if d.spin, ok = replayLoops(s.spin, f, instrs); !ok {
@@ -178,13 +181,20 @@ func (s *FuncSummary) replay(f *ir.Func) (d funcDetect, accs []alias.Access, ok 
 		return funcDetect{}, nil, false
 	}
 	// The i-th summarized access must be the i-th memory access of the
-	// walk; the recorded position double-checks the pairing.
+	// walk; the recorded position double-checks the pairing. The same
+	// walk takes the barrier inventory, before any upgrade.
 	accs = make([]alias.Access, 0, len(s.accesses))
 	pos, ai := 0, 0
 	for _, in := range instrs {
 		pos++
+		if in.Op == ir.OpFence {
+			d.expl.Fences++
+		}
 		if !in.IsMemAccess() {
 			continue
+		}
+		if in.Ord.Atomic() {
+			d.expl.Atomics++
 		}
 		if ai >= len(s.accesses) || int(s.accesses[ai].pos) != pos {
 			return funcDetect{}, nil, false
@@ -253,6 +263,13 @@ func (s *FuncSummary) replay(f *ir.Func) (d funcDetect, accs []alias.Access, ok 
 	return d, accs, true
 }
 
+// writes reports whether the port writes the function s describes:
+// detection upgrades an access, or the merge marks a loop control or a
+// barrier seed.
+func (s *FuncSummary) writes() bool {
+	return len(s.upgrades) > 0 || len(s.spin) > 0 || len(s.polling) > 0 || len(s.barriers) > 0
+}
+
 // upgradedAt reports whether the upgrade list touches ordinal ord.
 func upgradedAt(ups []upgradeSummary, ord int32) bool {
 	for _, u := range ups {
@@ -299,20 +316,11 @@ func replayLoops(sums []loopSummary, f *ir.Func, instrs []*ir.Instr) ([]*analysi
 	return out, true
 }
 
-// detectFunc is the per-function unit of the detection phase. A filled
-// slot replays the entire phase — analyses, seeds, and the upgrade
-// mutations — from its summary in one walk; an empty slot, or a summary
-// that fails validation, runs the real analyses and fills the slot with
-// a fresh summary. slot is nil when the caller keeps no summaries.
-// Returns the function's result slot, its prepared alias contributions,
-// and whether a summary served the phase.
-func detectFunc(f *ir.Func, opts Options, slot **FuncSummary) (d funcDetect, accs []alias.Access, hit bool) {
-	if slot != nil && *slot != nil {
-		if d, accs, ok := (*slot).replay(f); ok {
-			return d, accs, true
-		}
-	}
-
+// detectFunc runs the detection phase's analyses on f — the explicit
+// upgrades, which write f, among them — and, when slot is non-nil,
+// fills it with a fresh summary. Returns the function's result slot and
+// its prepared alias contributions.
+func detectFunc(f *ir.Func, opts Options, slot **FuncSummary) (d funcDetect, accs []alias.Access) {
 	d.expl = transform.UpgradeExplicitAnnotationsFunc(f)
 	det := analysis.NewDetector(f)
 	if opts.Level >= LevelSpin {
@@ -333,5 +341,5 @@ func detectFunc(f *ir.Func, opts Options, slot **FuncSummary) (d funcDetect, acc
 	if slot != nil {
 		*slot = summarize(f, d, accs)
 	}
-	return d, accs, false
+	return d, accs
 }

@@ -25,6 +25,7 @@ func publishReport(p *obs.Provider, rep *Report) {
 	p.Counter("pipeline.sticky_marked").Add(int64(rep.StickyMarked))
 	p.Counter("pipeline.accesses_transformed").Add(int64(rep.ImplicitAdded))
 	p.Counter("pipeline.fences_inserted").Add(int64(rep.ExplicitAdded))
+	p.Counter("pipeline.functions_copied").Add(int64(rep.FunctionsCopied))
 	p.Histogram("pipeline.port_duration_micros").Observe(rep.Duration.Microseconds())
 	p.Log().Event("pipeline.port_completed").
 		Str("module", rep.Module).

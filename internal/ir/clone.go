@@ -24,14 +24,10 @@ func CloneModule(m *Module) (*Module, error) {
 			return nil, fmt.Errorf("ir: clone: %w", err)
 		}
 	}
-	// First create all function shells so calls and FuncRefs can resolve.
 	for _, f := range m.Funcs {
-		if err := out.AddFunc(shell(f)); err != nil {
+		if err := out.AddFunc(out.CopyFunc(f)); err != nil {
 			return nil, fmt.Errorf("ir: clone: %w", err)
 		}
-	}
-	for _, f := range m.Funcs {
-		cloneFuncBody(out, f, out.Func(f.Name))
 	}
 	return out, nil
 }
@@ -48,22 +44,17 @@ func MustClone(m *Module) *Module {
 	return out
 }
 
-// shell returns a body-less copy of f: its name, signature and
-// instruction-ID watermark.
-func shell(f *Func) *Func {
-	nf := &Func{Name: f.Name, RetTy: f.RetTy, nextID: f.nextID}
-	for _, p := range f.Params {
-		nf.Params = append(nf.Params, &Param{PName: p.PName, Ty: p.Ty, Index: p.Index})
+// CopyFunc returns a private copy of src: its name, signature,
+// instruction-ID watermark and body, with global operands bound to m's
+// like-named globals. Constants and function references are shared, as
+// neither is ever written and a reference names its target. The copy
+// is not added to m, and m is only read, so copies may be made
+// concurrently.
+func (m *Module) CopyFunc(src *Func) *Func {
+	dst := &Func{Name: src.Name, RetTy: src.RetTy, nextID: src.nextID}
+	for _, p := range src.Params {
+		dst.Params = append(dst.Params, &Param{PName: p.PName, Ty: p.Ty, Index: p.Index})
 	}
-	return nf
-}
-
-// cloneFuncBody clones the body of src into dst, a shell of src
-// registered in outMod, binding globals and function references to
-// outMod's by name. A reference to a function outMod lacks keeps src's
-// target, so Verify reports it by name. Used by CloneModule and
-// ReplaceFuncs.
-func cloneFuncBody(outMod *Module, src, dst *Func) {
 	blockMap := make(map[*Block]*Block, len(src.Blocks))
 	blocks := make([]Block, len(src.Blocks))
 	dst.Blocks = make([]*Block, len(src.Blocks))
@@ -76,8 +67,8 @@ func cloneFuncBody(outMod *Module, src, dst *Func) {
 	}
 	// Instruction IDs are unique within a function (builder and parser
 	// both guarantee it), so the old->new mapping is an ID-indexed
-	// slice — clones are on the daemon's per-request hot path, and a
-	// map here costs more than the rest of the copy. instrMap is the
+	// slice — copies are on the daemon's per-port path, and a map here
+	// costs more than the rest of the copy. instrMap is the
 	// fallback for out-of-range IDs only.
 	byID := make([]*Instr, src.nextID)
 	var instrMap map[*Instr]*Instr
@@ -87,17 +78,12 @@ func cloneFuncBody(outMod *Module, src, dst *Func) {
 	}
 	mapVal := func(v Value) Value {
 		switch x := v.(type) {
-		case *ConstInt:
+		case *ConstInt, *FuncRef:
 			return x
 		case *Global:
-			return outMod.Global(x.GName)
+			return m.Global(x.GName)
 		case *Param:
 			return paramMap[x]
-		case *FuncRef:
-			if fn := outMod.Func(x.Fn.Name); fn != nil {
-				return &FuncRef{Fn: fn}
-			}
-			return x
 		case *Instr:
 			if x.ID >= 0 && x.ID < len(byID) && byID[x.ID] != nil {
 				return byID[x.ID]
@@ -107,8 +93,8 @@ func cloneFuncBody(outMod *Module, src, dst *Func) {
 		return v
 	}
 	// Blocks, instructions, the blocks' instruction lists and the operand
-	// slices come out of per-function arenas: a clone-heavy caller (the
-	// porting daemon clones a module per request) otherwise pays an
+	// slices come out of per-function arenas: a copy-heavy caller (a
+	// port copies every function it writes) otherwise pays an
 	// allocation per block and instruction, and the resulting GC churn
 	// costs more than the copy itself. Each block's list is capped at its
 	// length, so a later insertion into one block reallocates it instead
@@ -168,4 +154,5 @@ func cloneFuncBody(outMod *Module, src, dst *Func) {
 			}
 		}
 	}
+	return dst
 }

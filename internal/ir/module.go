@@ -196,9 +196,11 @@ func (m *Module) Func(name string) *Func { return m.funcIdx[name] }
 // Derive returns a module with m's name, struct types and globals, and
 // funcs in the given order. Types, globals and functions are shared,
 // not copied, so none of them may be mutated afterwards; adding to,
-// replacing in or removing from the result leaves m untouched. This is
-// how the incremental porting service builds the next version of a
-// module without cloning it.
+// replacing in or removing from the result leaves m untouched. Calls
+// and function references name their targets, so a shared function
+// refers to the result's function of that name. This is how the
+// incremental porting service builds the next version of a module, and
+// a port the version it ports, without cloning it.
 func (m *Module) Derive(funcs []*Func) *Module {
 	out := &Module{
 		Name:      m.Name,
@@ -215,28 +217,31 @@ func (m *Module) Derive(funcs []*Func) *Module {
 }
 
 // ReplaceFuncs installs fresh copies of srcs (functions owned by other
-// modules, e.g. parsed from deltas). A copy takes the place of m's
-// like-named function; one with a new name is appended, in srcs order,
-// and a later source of a repeated name wins. Copies refer to m's
-// globals and functions by name, the batch's own copies included, so
-// sources may reference each other in any order; a reference to a
-// function m lacks keeps its name for Verify to report.
+// modules, e.g. parsed from deltas), bound to m's globals (CopyFunc). A
+// copy takes the place of m's like-named function; one with a new name
+// is appended, in srcs order, and a later source of a repeated name
+// wins. A reference to a function m lacks is left for Verify to report.
 func (m *Module) ReplaceFuncs(srcs ...*Func) {
-	fresh := make([]*Func, len(srcs))
-	for i, src := range srcs {
-		nf := shell(src)
+	for _, src := range srcs {
+		nf := m.CopyFunc(src)
 		if _, ok := m.funcIdx[src.Name]; !ok {
 			m.Funcs = append(m.Funcs, nf)
 		}
 		m.funcIdx[src.Name] = nf
-		fresh[i] = nf
 	}
 	for i, f := range m.Funcs {
 		m.Funcs[i] = m.funcIdx[f.Name]
 	}
-	for i, src := range srcs {
-		cloneFuncBody(m, src, fresh[i])
+}
+
+// SetFunc puts f in place of m.Funcs[i], which must have f's name: a
+// port installs its private copy of a function this way.
+func (m *Module) SetFunc(i int, f *Func) {
+	if m.Funcs[i].Name != f.Name {
+		panic(fmt.Sprintf("ir: SetFunc: @%s in place of @%s", f.Name, m.Funcs[i].Name))
 	}
+	m.Funcs[i] = f
+	m.funcIdx[f.Name] = f
 }
 
 // RemoveFunc deletes the named function, reporting whether it existed.
@@ -320,7 +325,7 @@ func (m *Module) Reachable(entries []string) map[*Func]bool {
 			}
 			for _, a := range instr.Args {
 				if fr, ok := a.(*FuncRef); ok {
-					push(fr.Fn)
+					push(m.Func(fr.Name))
 				}
 			}
 		})

@@ -39,17 +39,16 @@ type rawFunc struct {
 type moduleParser struct {
 	mod *Module
 	// delta marks a ParseFunc parse: mod is only the context, and a
-	// function reference it cannot resolve is kept by name.
+	// reference to a function it lacks is accepted.
 	delta bool
 }
 
 // ParseFunc parses one AIR function definition in the context of m: its
 // struct types, globals and functions resolve against m. The function
-// is neither added to m nor verified. Calls name their callee, and a
-// reference to a function m lacks is kept by name, so a delta may call
-// or spawn functions its batch adds; Module.ReplaceFuncs binds the
-// references where the function is installed, and Verify of that module
-// rejects any left unresolved.
+// is neither added to m nor verified. Calls and function references
+// name their targets, and a target m lacks is accepted, so a delta may
+// call or spawn functions its batch adds; Verify of the module the
+// function is installed in rejects a target that module lacks.
 func ParseFunc(m *Module, text string) (f *Func, err error) {
 	defer diag.Guard("ir.ParseFunc", &err)
 	p := &moduleParser{mod: m, delta: true}

@@ -430,14 +430,8 @@ func (r *funcResolver) resolveRef(ref string, params map[string]*Param) (Value, 
 		if g := r.p.mod.Global(name); g != nil {
 			return g, nil
 		}
-		if name == r.fn.Name {
-			return &FuncRef{Fn: r.fn}, nil
-		}
-		if fn := r.p.mod.Func(name); fn != nil {
-			return &FuncRef{Fn: fn}, nil
-		}
-		if r.p.delta {
-			return &FuncRef{Fn: &Func{Name: name}}, nil
+		if name == r.fn.Name || r.p.mod.Func(name) != nil || r.p.delta {
+			return &FuncRef{Name: name}, nil
 		}
 		return nil, fmt.Errorf("unknown symbol %s", ref)
 	case strings.HasPrefix(ref, "%t"):

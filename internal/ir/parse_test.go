@@ -159,7 +159,7 @@ func TestParseRoundTripSpawn(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBuilder(f)
-	b.Call(Void, "spawn", &FuncRef{Fn: w})
+	b.Call(Void, "spawn", &FuncRef{Name: w.Name})
 	b.Call(Void, "join")
 	b.Ret(nil)
 	parsed := roundTrip(t, m)
@@ -169,7 +169,7 @@ func TestParseRoundTripSpawn(t *testing.T) {
 			ref, _ = in.Args[0].(*FuncRef)
 		}
 	})
-	if ref == nil || ref.Fn != parsed.Func("worker") {
+	if ref == nil || ref.Name != "worker" {
 		t.Fatal("FuncRef operand lost")
 	}
 }

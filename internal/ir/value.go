@@ -56,10 +56,13 @@ func (p *Param) Type() Type      { return p.Ty }
 func (p *Param) Operand() string { return "%" + p.PName }
 
 // FuncRef is a reference to a function used as a first-class value
-// (e.g. the argument of a spawn call).
+// (e.g. the argument of a spawn call). Like a call's Callee, it names
+// its target: whoever executes or analyzes it resolves the name in the
+// module at hand, so a function that holds a reference can be shared by
+// modules that hold different functions of that name.
 type FuncRef struct {
-	Fn *Func
+	Name string
 }
 
 func (f *FuncRef) Type() Type      { return PointerTo(Void) }
-func (f *FuncRef) Operand() string { return "@" + f.Fn.Name }
+func (f *FuncRef) Operand() string { return "@" + f.Name }

@@ -104,13 +104,8 @@ func verifyInstr(m *Module, f *Func, blocks map[*Block]bool, in *Instr) error {
 		if a == nil {
 			return fmt.Errorf("nil operand")
 		}
-		if r, ok := a.(*FuncRef); ok {
-			if r.Fn == nil {
-				return fmt.Errorf("nil function reference")
-			}
-			if m.Func(r.Fn.Name) == nil {
-				return fmt.Errorf("reference to unknown function @%s", r.Fn.Name)
-			}
+		if r, ok := a.(*FuncRef); ok && m.Func(r.Name) == nil {
+			return fmt.Errorf("reference to unknown function @%s", r.Name)
 		}
 	}
 	switch in.Op {

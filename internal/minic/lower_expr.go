@@ -577,11 +577,10 @@ func (fl *funcLowerer) lowerCall(x *Call) (ir.Value, error) {
 		if !ok {
 			return nil, fmt.Errorf("line %d: spawn argument must name a function", x.Line)
 		}
-		fn := fl.c.mod.Func(id.Name)
-		if fn == nil {
+		if fl.c.mod.Func(id.Name) == nil {
 			return nil, fmt.Errorf("line %d: spawn of unknown function %q", x.Line, id.Name)
 		}
-		fl.b.Call(ir.Void, "spawn", &ir.FuncRef{Fn: fn})
+		fl.b.Call(ir.Void, "spawn", &ir.FuncRef{Name: id.Name})
 		return ir.Const(0), nil
 	case "malloc":
 		return fl.lowerMalloc(x, ir.I64)

@@ -315,14 +315,13 @@ void main_thread(void) {
   assert(done == 1);
 }
 `)
-	w := res.Module.Func("worker")
 	var spawnArg ir.Value
 	res.Module.EachInstr(func(_ *ir.Func, in *ir.Instr) {
 		if in.Op == ir.OpCall && in.Callee == "spawn" {
 			spawnArg = in.Args[0]
 		}
 	})
-	if fr, ok := spawnArg.(*ir.FuncRef); !ok || fr.Fn != w {
+	if fr, ok := spawnArg.(*ir.FuncRef); !ok || fr.Name != "worker" || res.Module.Func(fr.Name) == nil {
 		t.Fatalf("spawn argument = %#v", spawnArg)
 	}
 }

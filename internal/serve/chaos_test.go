@@ -147,23 +147,27 @@ func TestChaosStorm(t *testing.T) {
 	}
 }
 
-// TestPanicUnderSessionReadLock: a panic while a port copies the
+// TestPanicUnderSessionReadLock: a panic while a port reads the
 // snapshot it read under the session's read lock is answered as
-// internal, and the lock is not left held, so the recovery's poisoning
-// of the summaries and the next requests on the session go through.
+// internal, and the lock is not left held, so the next requests on the
+// session go through.
 func TestPanicUnderSessionReadLock(t *testing.T) {
 	leakcheck.Check(t)
 	srv, c := startServer(t, Options{})
 	mustOK(t, c.call(&Request{ID: "load", Op: "load", Name: "small.c", Source: smallSrc}))
 
-	// A snapshot whose copy panics: a function reference to no function.
+	// A snapshot whose port panics: a load stripped of its address
+	// operand, which detection indexes.
 	bad := ir.NewModule("bad")
+	if err := bad.AddGlobal(&ir.Global{GName: "g", Elem: ir.I64}); err != nil {
+		t.Fatal(err)
+	}
 	f := &ir.Func{Name: "f", RetTy: ir.Void}
 	if err := bad.AddFunc(f); err != nil {
 		t.Fatal(err)
 	}
 	b := ir.NewBuilder(f)
-	b.Call(ir.Void, "spawn", &ir.FuncRef{})
+	b.Load(bad.Global("g")).Args = nil
 	b.Ret(nil)
 	sess := srv.lookup("")
 	sess.mu.Lock()
@@ -236,6 +240,78 @@ func TestConcurrentEditsAndPorts(t *testing.T) {
 	final := mustOK(t, c.call(&Request{ID: "final", Op: "port", Emit: true}))
 	if final.Text != cliPortAIR(t, dump.Text) {
 		t.Errorf("port after concurrent edits differs from the CLI port of the dumped module")
+	}
+	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
+}
+
+// TestExplainSweepsPublishedBase: explain-races sweeps the session's
+// published module itself, without a copy, while edits replace
+// functions it shares and ports read the snapshot; no published
+// module's text changes, and the final port is still the CLI's port of
+// the dumped module.
+func TestExplainSweepsPublishedBase(t *testing.T) {
+	leakcheck.Check(t)
+	src := smallSrc + `
+int spare;
+int fill0(int x) { spare = x; return x + 1; }
+int fill1(int x) { spare = x * 2; return x - 1; }
+`
+	srv, c := startServer(t, Options{Workers: 2})
+	mustOK(t, c.call(&Request{ID: "load", Op: "load", Name: "explain.c", Source: src}))
+	sess := srv.lookup("")
+	first := sess.current()
+	firstText := first.String()
+	entries := []string{"reader", "writer"}
+	x := mustOK(t, c.call(&Request{ID: "x", Op: "explain-races", Entries: entries}))
+	if !strings.Contains(x.Text, "@flag") {
+		t.Errorf("explain-races output lacks @flag:\n%s", x.Text)
+	}
+	if sess.current() != first || first.String() != firstText {
+		t.Fatal("the sweep changed the published module")
+	}
+	base, err := ir.ParseModule(firstText)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 6
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			to, from := fmt.Sprintf("fill%d", i%2), fmt.Sprintf("fill%d", 1-i%2)
+			delta := strings.Replace(ir.FuncString(base.Func(from)), "@"+from+"(", "@"+to+"(", 1)
+			if r := c.call(&Request{ID: fmt.Sprintf("edit%d", i), Op: "edit", Replace: []string{delta}}); !r.OK {
+				t.Errorf("edit %d: %s: %s", i, r.ErrKind, r.Error)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if r := c.call(&Request{ID: fmt.Sprintf("port%d", i), Op: "port"}); !r.OK {
+				t.Errorf("port %d: %s: %s", i, r.ErrKind, r.Error)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			r := c.call(&Request{ID: fmt.Sprintf("explain%d", i), Op: "explain-races", Entries: entries})
+			if !r.OK || r.Text != x.Text {
+				t.Errorf("explain %d: ok=%t %s: %s", i, r.OK, r.ErrKind, r.Error)
+			}
+		}
+	}()
+	wg.Wait()
+	if first.String() != firstText {
+		t.Error("the first published module changed under concurrent sweeps, edits and ports")
+	}
+	dump := mustOK(t, c.call(&Request{ID: "dump", Op: "dump"}))
+	final := mustOK(t, c.call(&Request{ID: "final", Op: "port", Emit: true}))
+	if final.Text != cliPortAIR(t, dump.Text) {
+		t.Errorf("port after concurrent sweeps differs from the CLI port of the dumped module")
 	}
 	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
 }

@@ -112,10 +112,8 @@ func (s *Server) opExplain(ctx context.Context, req *Request, sess *session) *Re
 	if len(req.Entries) == 0 {
 		return errResp(ErrBadRequest, "explain-races needs entries")
 	}
-	m, err := sess.cloneBase()
-	if err != nil {
-		return errResp("", "explain-races: %v", err)
-	}
+	// The published base is never written, and a sweep only reads it.
+	m := sess.current()
 	if ctx.Err() != nil {
 		return errResp("", "explain-races: %v", ctx.Err())
 	}
@@ -250,7 +248,7 @@ func (s *Server) opStress(ctx context.Context, req *Request, sess *session) *Res
 }
 
 // opOptimize ports the module (incrementally) and runs the checker-in-
-// the-loop weakening optimizer on the ported clone (internal/weaken).
+// the-loop weakening optimizer on a copy of the port (internal/weaken).
 // The session memoizes the result per options for the current snapshot
 // — a repeat request replays it with replayed=true. The port inside it
 // shares the session's detection summaries with plain ports: weakening
@@ -317,7 +315,8 @@ func (s *Server) opOptimize(ctx context.Context, req *Request, sess *session) *R
 func (s *Server) logCache(op string, rep *atomig.Report) {
 	s.lg.Event("serve.cache_consulted").
 		Str("op", op).Str("module", rep.Module).
-		Int("hits", int64(rep.CacheHits)).Int("misses", int64(rep.CacheMisses)).Emit()
+		Int("hits", int64(rep.CacheHits)).Int("misses", int64(rep.CacheMisses)).
+		Int("copied", int64(rep.FunctionsCopied)).Emit()
 }
 
 // opStats snapshots the server counters; it doubles as the health
@@ -359,7 +358,8 @@ func sessionName(req *Request) string {
 // portError classifies a pipeline failure: cancellation surfaces as
 // the typed deadline/cancel kind (the dispatch layer refines it from
 // the context), everything else as an internal engine error — the
-// port ran on a clone, so the session itself is intact either way.
+// port wrote only its own copies, so the session itself is intact
+// either way.
 func portError(err error) *Response {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return errResp("", "port: %v", err)

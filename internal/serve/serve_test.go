@@ -23,7 +23,10 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/ir"
 	"repro/internal/leakcheck"
+	"repro/internal/mc"
+	"repro/internal/memmodel"
 	"repro/internal/minic"
+	"repro/internal/stress"
 )
 
 // rwPair glues two pipe halves into the io.ReadWriter ServeConn wants.
@@ -685,5 +688,80 @@ func TestStressOp(t *testing.T) {
 		t.Errorf("stress op not deterministic:\nfirst  %+v\nsecond %+v", s1.Stress, s2.Stress)
 	}
 
+	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
+}
+
+// TestSharedSpawnerRunsPortedWorkers: the port rewrites the spawned
+// reader and writer but not main_thread, which spawns them, so the
+// warm port shares main_thread with the snapshot. The daemon's
+// verify and stress must execute the ported threads: they match
+// mc.Check and stress.Sweep on the CLI port of the dump in verdict and
+// in executions or schedules, also after an explain-races sweep has
+// run the un-ported threads through the same spawner's references.
+func TestSharedSpawnerRunsPortedWorkers(t *testing.T) {
+	leakcheck.Check(t)
+	src := `
+int flag;
+int msg;
+void writer(void) { msg = 41; flag = 1; }
+void reader(void) { while (flag == 0) { } assert(msg == 41); }
+void main_thread(void) { spawn(writer); spawn(reader); }
+`
+	srv, c := startServer(t, Options{})
+	mustOK(t, c.call(&Request{ID: "load", Op: "load", Name: "spawner.c", Source: src}))
+	entries := []string{"main_thread"}
+	ex := mustOK(t, c.call(&Request{ID: "x", Op: "explain-races", Entries: entries}))
+	if len(ex.Violations) == 0 {
+		t.Fatal("the un-ported threads showed no violation under WMM")
+	}
+
+	mustOK(t, c.call(&Request{ID: "p", Op: "port"})) // fill the summary slots
+	sess := srv.lookup("")
+	ported, _, err := sess.port(context.Background(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.mu.RLock()
+	snap := sess.snap
+	sess.mu.RUnlock()
+	if ported.Func("main_thread") != snap.Func("main_thread") {
+		t.Fatal("the port copied main_thread; the test needs a spawner it shares")
+	}
+	for _, name := range []string{"reader", "writer"} {
+		if ported.Func(name) == snap.Func(name) {
+			t.Fatalf("the port shares @%s; the test needs it rewritten", name)
+		}
+	}
+
+	dump := mustOK(t, c.call(&Request{ID: "dump", Op: "dump"}))
+	cli, err := ir.ParseModule(cliPortAIR(t, dump.Text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxExecs = 20000
+	want, err := mc.Check(cli, mc.Options{Model: memmodel.ModelWMM, Entries: entries,
+		MaxExecutions: maxExecs, DetectRaces: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := mustOK(t, c.call(&Request{ID: "v", Op: "verify", Entries: entries, MaxExecs: maxExecs}))
+	if v.Verdict != want.Verdict.String() || v.Executions != want.Executions {
+		t.Errorf("verify: verdict %s after %d executions, the CLI port's %s after %d",
+			v.Verdict, v.Executions, want.Verdict, want.Executions)
+	}
+	if v.Verdict != "verified" {
+		t.Errorf("verify of the ported spawner: verdict %s (%v)", v.Verdict, v.Violations)
+	}
+
+	sw, err := stress.Sweep(cli, stress.Options{Model: memmodel.ModelWMM, Entries: entries, Seeds: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := mustOK(t, c.call(&Request{ID: "s", Op: "stress", Entries: entries, Seeds: 8}))
+	if st.Verdict != "pass" || len(sw.Violations()) != 0 || sw.Detector.Races() != 0 ||
+		st.Stress.Schedules != sw.Schedules || st.Stress.Steps != sw.Steps {
+		t.Errorf("stress: verdict %s, %d schedules, %d steps; the CLI port's sweep: %d violations, %d races, %d schedules, %d steps",
+			st.Verdict, st.Stress.Schedules, st.Stress.Steps, len(sw.Violations()), sw.Detector.Races(), sw.Schedules, sw.Steps)
+	}
 	mustOK(t, c.call(&Request{ID: "bye", Op: "shutdown"}))
 }

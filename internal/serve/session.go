@@ -3,16 +3,16 @@
 // un-ported truth (what dump renders and edits replace functions in);
 // the analyzed snapshot holds base's functions pre-inlined, and beside
 // it the session keeps one detection summary slot per snapshot
-// function. Ports clone the snapshot and run the pipeline with inlining
-// off, which performs the exact mutation sequence the CLI's
-// inline-then-analyze port performs — so daemon output is byte-identical
-// to `atomig -j 1` on the dumped module (the conformance contract,
-// tested in serve_test.go).
+// function. Ports run the pipeline on the snapshot with inlining off
+// (atomig.PortShared), which performs the exact mutation sequence the
+// CLI's inline-then-analyze port performs on copies of the functions it
+// writes — so daemon output is byte-identical to `atomig -j 1` on the
+// dumped module (the conformance contract, tested in serve_test.go).
 //
-// An edit costs what it changes: the next base and snapshot share every
-// function the edit cannot have changed with the current ones, only the
-// changed functions are copied, verified and re-inlined, and only their
-// summary slots are emptied.
+// An edit costs what it changes: the next base shares every function
+// but the batch's with the current one, and the next snapshot every
+// function the edit cannot have changed; only the changed functions are
+// verified and re-inlined, and only their summary slots are emptied.
 package serve
 
 import (
@@ -37,23 +37,23 @@ type session struct {
 
 	// mu guards the pointers below: mutations (edit, poison, a port's
 	// publication) replace them under the write lock, and queries (port,
-	// dump, explain, verify) read them under the read lock and copy or
-	// render what they read after releasing it.
+	// dump, explain, verify) read them under the read lock and port,
+	// sweep or render what they read after releasing it.
 	mu sync.RWMutex
 
 	// base, snap and sums are replaced, never mutated, once published:
-	// later versions share their functions, and a port fills its own
-	// copy of sums. A slot describes its snapshot function for as long as
-	// the function is not rebuilt: deltas change functions only (structs
-	// and globals change by reload, which builds a new session), and every
-	// port runs with portOptions.
+	// later versions and ports share their functions, and a port fills
+	// its own copy of sums. A slot describes its snapshot function for
+	// as long as the function is not rebuilt: deltas change functions
+	// only (structs and globals change by reload, which builds a new
+	// session), and every port runs with portOptions.
 	base *ir.Module            // un-ported truth
 	snap *ir.Module            // analyzed snapshot: base's functions, inlined
 	sums []*atomig.FuncSummary // detection summary per snap.Funcs; nil until a port fills it
 
 	// gen moves on every rebuild and every poison. A port publishes the
 	// slots it filled, and optimize its memo, only if gen has not moved
-	// since the snapshot was copied.
+	// since the port read the snapshot.
 	gen uint64
 
 	// uses holds, per function of base, the names it calls or references:
@@ -65,7 +65,7 @@ type session struct {
 	// keyed by the request's weakening configuration
 	// (weaken.Options.Salt); an option flip misses, and rebuild and
 	// poison drop it. The summaries need no such key: they describe the
-	// un-weakened snapshot, and weakening runs on a ported clone
+	// un-weakened snapshot, and weakening runs on a copy of the port
 	// (TestOptimizeSaltFlip).
 	opt *optMemo
 }
@@ -145,10 +145,14 @@ func langOf(lang, name string) string {
 // and its slot is carried over from the current snapshot. changed must
 // hold every function of base whose inlined body can differ from the
 // current snapshot's: the edited ones and all that transitively call or
-// reference them (see dependents). Nothing is published until all of it
-// is built, so a panic leaves the session as it was. It moves the
-// generation and drops the optimize memo. Called under the write lock
-// (or before publication); returns how many functions it rebuilt.
+// reference them (see dependents). Each re-inlined function is verified
+// against the new snapshot, since ports share the snapshot's functions
+// and verify only what they copy; an inliner fault panics, and the
+// request that built the function answers internal. Nothing is
+// published until all of it is built, so a panic leaves the session as
+// it was. It moves the generation and drops the optimize memo. Called
+// under the write lock (or before publication); returns how many
+// functions it rebuilt.
 //
 // The inliner only copies callees into callers, so its work on a
 // function depends only on that function's callee closure, the
@@ -162,24 +166,23 @@ func (s *session) rebuild(base *ir.Module, changed map[string]bool) int {
 	scratch.ReplaceFuncs(calleeClosure(base, changed)...)
 	analysis.Inline(scratch)
 
-	snap := scratch
+	// The changed functions come from the scratch module, the others
+	// from the current snapshot, in base order.
+	funcs := make([]*ir.Func, len(base.Funcs))
 	var fresh []*ir.Func
-	for _, f := range base.Funcs {
+	for i, f := range base.Funcs {
 		if changed[f.Name] {
-			fresh = append(fresh, scratch.Func(f.Name))
+			funcs[i] = scratch.Func(f.Name)
+			fresh = append(fresh, funcs[i])
+		} else {
+			funcs[i] = s.snap.Func(f.Name)
 		}
 	}
-	if len(scratch.Funcs) < len(base.Funcs) {
-		// Keep the current snapshot's functions, in base order; the
-		// changed ones are replaced by copies bound to the new snapshot.
-		kept := make([]*ir.Func, 0, len(base.Funcs))
-		for _, f := range base.Funcs {
-			if g := s.snap.Func(f.Name); g != nil {
-				kept = append(kept, g)
-			}
+	snap := base.Derive(funcs)
+	for _, f := range fresh {
+		if err := ir.VerifyFunc(snap, f); err != nil {
+			panic(fmt.Sprintf("serve: inlining left the snapshot invalid: %v", err))
 		}
-		snap = base.Derive(kept)
-		snap.ReplaceFuncs(fresh...)
 	}
 
 	prev := make(map[string]*atomig.FuncSummary)
@@ -230,17 +233,8 @@ func (s *session) edit(replace []string, remove []string) (rebuilt, reused int, 
 	names = append(names, remove...)
 	changed := dependents(s.uses, names)
 
-	// Copy the batch, then every unchanged function that calls or
-	// references a batch name, so each reference binds to the new module.
-	batch := make(map[string]bool, len(names))
-	for _, name := range names {
-		batch[name] = true
-	}
-	for _, f := range s.base.Funcs {
-		if changed[f.Name] && !batch[f.Name] {
-			srcs = append(srcs, f)
-		}
-	}
+	// Only the batch is copied: calls and references name their
+	// targets, so the shared functions refer to the batch's by name.
 	next := s.base.Derive(s.base.Funcs)
 	next.ReplaceFuncs(srcs...)
 	for _, name := range remove {
@@ -263,9 +257,10 @@ func (s *session) edit(replace []string, remove []string) (rebuilt, reused int, 
 
 // dependents returns names plus every function that transitively calls
 // or references one of them, given each function's uses: the inliner
-// copies callees into callers, and a reference must bind to the function
-// that replaces its target. Edges out of the named functions add
-// nothing, so the set is the same before and after an edit of them.
+// copies callees into callers, and a call or reference must still match
+// the function that replaces its target. Edges out of the named
+// functions add nothing, so the set is the same before and after an
+// edit of them.
 func dependents(uses map[string][]string, names []string) map[string]bool {
 	users := make(map[string][]string)
 	for f, us := range uses {
@@ -298,7 +293,7 @@ func usesOf(f *ir.Func) []string {
 		}
 		for _, a := range in.Args {
 			if r, ok := a.(*ir.FuncRef); ok {
-				out = append(out, r.Fn.Name)
+				out = append(out, r.Name)
 			}
 		}
 	})
@@ -336,24 +331,25 @@ func calleeClosure(m *ir.Module, names map[string]bool) []*ir.Func {
 	return out
 }
 
-// port clones the analyzed snapshot and runs the pipeline on the clone
-// under ctx, replaying the filled summary slots and filling the empty
-// ones in a copy of the slots. The expensive work happens outside the
-// session lock — only the snapshot and slot copies are taken under it,
-// so concurrent ports proceed in parallel and edits order cleanly
-// between them. The filled copy is published only if no rebuild or
-// poison came in between.
+// port runs the pipeline on the analyzed snapshot under ctx
+// (atomig.PortShared, which copies only the functions it writes),
+// replaying the filled summary slots and filling the empty ones in a
+// copy of the slots. The snapshot, the slots and the generation are
+// read under the read lock and the port runs after releasing it:
+// published versions are never written, so concurrent ports proceed in
+// parallel and edits order cleanly between them. The filled copy is
+// published only if no rebuild or poison came in between. The ported
+// module shares functions with the snapshot, so callers only read it.
 func (s *session) port(ctx context.Context, workers int, prov *obs.Provider) (*ir.Module, *atomig.Report, error) {
-	clone, sums, gen, err := s.cloneSnapshot()
-	if err != nil {
-		return nil, nil, err
-	}
+	s.mu.RLock()
+	snap, sums, gen := s.snap, slices.Clone(s.sums), s.gen
+	s.mu.RUnlock()
 	opts := portOptions()
 	opts.Context = ctx
 	opts.Summaries = sums
 	opts.Workers = workers
 	opts.Obs = prov
-	rep, err := atomig.Port(clone, opts)
+	ported, rep, err := atomig.PortShared(snap, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -364,27 +360,17 @@ func (s *session) port(ctx context.Context, workers int, prov *obs.Provider) (*i
 		}
 		s.mu.Unlock()
 	}
-	return clone, rep, nil
+	return ported, rep, nil
 }
 
-// cloneSnapshot reads the analyzed snapshot, its summary slots and the
-// generation under the read lock, and copies the snapshot and the slots
-// after releasing it: published versions are never mutated, so an edit
-// or a poison need not wait behind the copy.
-func (s *session) cloneSnapshot() (*ir.Module, []*atomig.FuncSummary, uint64, error) {
-	s.mu.RLock()
-	snap, sums, gen := s.snap, s.sums, s.gen
-	s.mu.RUnlock()
-	clone, err := ir.CloneModule(snap)
-	return clone, slices.Clone(sums), gen, err
-}
-
-// optimize ports the session and runs the weakening optimizer on the
-// ported clone. The result is memoized per configuration for the
-// current snapshot — a repeat request with the same options on an
-// unedited module replays it (replayed=true) without re-running the
-// checker. wopts carries the request's weakening options;
-// Workers/Context/Obs are overridden with the server's.
+// optimize ports the session and runs the weakening optimizer on a
+// private copy of the port, since weakening writes the module it is
+// given and the port shares functions with the snapshot. The result is
+// memoized per configuration for the current snapshot — a repeat
+// request with the same options on an unedited module replays it
+// (replayed=true) without re-running the checker. wopts carries the
+// request's weakening options; Workers/Context/Obs are overridden with
+// the server's.
 func (s *session) optimize(ctx context.Context, workers int, prov *obs.Provider, wopts weaken.Options) (res *weaken.Result, rep *atomig.Report, text string, replayed bool, err error) {
 	key := wopts.Salt()
 	s.mu.RLock()
@@ -402,14 +388,14 @@ func (s *session) optimize(ctx context.Context, workers int, prov *obs.Provider,
 	wopts.Workers = workers
 	wopts.Context = ctx
 	wopts.Obs = prov
-	res, err = weaken.Optimize(ported, wopts)
+	weakened, res, err := weaken.OptimizeClone(ported, wopts)
 	if err != nil {
 		return nil, nil, "", false, err
 	}
-	text = ported.String()
+	text = weakened.String()
 
 	// Publish the memo only if the snapshot it was computed from is
-	// still current: gen was read before the port copied the snapshot,
+	// still current: gen was read before the port read the snapshot,
 	// so an edit or poison racing this request moved it — serve the
 	// response, drop the memo.
 	s.mu.Lock()
@@ -425,14 +411,8 @@ func (s *session) dumpBase() string {
 	return s.current().String()
 }
 
-// cloneBase returns a private copy of the un-ported module for
-// read-only analyses that execute it (race sweeps).
-func (s *session) cloneBase() (*ir.Module, error) {
-	return ir.CloneModule(s.current())
-}
-
 // current returns the published un-ported module. It is read under the
-// read lock and never mutated, so callers render or copy it unlocked.
+// read lock and never mutated, so callers render or sweep it unlocked.
 func (s *session) current() *ir.Module {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

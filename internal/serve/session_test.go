@@ -275,21 +275,25 @@ func (p *editPair) apply(what string, replace, remove []string) bool {
 // batch that rebuilt that many snapshot functions. Every summary slot
 // the batch kept must equal the summary a port with empty slots
 // computes for its snapshot function now, and the next port must
-// re-analyze exactly the rebuilt functions. That port fills every slot,
-// so the next batch starts from a warm session.
+// re-analyze exactly the rebuilt functions, give that port's text, and
+// leave the snapshot it shares functions with as it was. That port
+// fills every slot, so the next batch starts from a warm session. Every
+// reference of the module and the snapshot names one of its functions.
 func (p *editPair) check(what string, rebuilt int) {
 	p.t.Helper()
 	inc, ref := p.inc, p.ref
 	if got, want := inc.base.String(), ref.base.String(); got != want {
 		p.t.Fatalf("%s: module differs from the reference:\n%s\nwant:\n%s", what, got, want)
 	}
-	if got, want := inc.snap.String(), ref.snap.String(); got != want {
-		p.t.Fatalf("%s: snapshot differs from the reference rebuild:\n%s\nwant:\n%s", what, got, want)
+	snapText := inc.snap.String()
+	if want := ref.snap.String(); snapText != want {
+		p.t.Fatalf("%s: snapshot differs from the reference rebuild:\n%s\nwant:\n%s", what, snapText, want)
 	}
 	fresh := make([]*atomig.FuncSummary, len(inc.snap.Funcs))
 	opts := portOptions()
 	opts.Summaries = fresh
-	if _, _, err := atomig.PortClone(inc.snap, opts); err != nil {
+	cold, _, err := atomig.PortClone(inc.snap, opts)
+	if err != nil {
 		p.t.Fatalf("%s: port with empty slots: %v", what, err)
 	}
 	if len(inc.sums) != len(fresh) {
@@ -300,12 +304,18 @@ func (p *editPair) check(what string, rebuilt int) {
 			p.t.Fatalf("%s: the kept summary of @%s is not its snapshot function's", what, inc.snap.Funcs[i].Name)
 		}
 	}
-	_, rep, err := inc.port(context.Background(), 1, nil)
+	ported, rep, err := inc.port(context.Background(), 1, nil)
 	if err != nil {
 		p.t.Fatalf("%s: port: %v", what, err)
 	}
 	if rep.CacheMisses != rebuilt {
 		p.t.Fatalf("%s: port re-analyzed %d functions (%d replayed), the batch rebuilt %d", what, rep.CacheMisses, rep.CacheHits, rebuilt)
+	}
+	if got, want := ported.String(), cold.String(); got != want {
+		p.t.Fatalf("%s: port differs from the port with empty slots:\n%s\nwant:\n%s", what, got, want)
+	}
+	if inc.snap.String() != snapText {
+		p.t.Fatalf("%s: the port wrote the snapshot", what)
 	}
 	if n := inc.filled(); n != len(inc.snap.Funcs) {
 		p.t.Fatalf("%s: %d of %d summary slots filled after a port", what, n, len(inc.snap.Funcs))
@@ -313,8 +323,8 @@ func (p *editPair) check(what string, rebuilt int) {
 	for _, m := range []*ir.Module{inc.base, inc.snap} {
 		m.EachInstr(func(f *ir.Func, in *ir.Instr) {
 			for _, a := range in.Args {
-				if r, ok := a.(*ir.FuncRef); ok && m.Func(r.Fn.Name) != r.Fn {
-					p.t.Fatalf("%s: @%s references a @%s that is not the module's", what, f.Name, r.Fn.Name)
+				if r, ok := a.(*ir.FuncRef); ok && m.Func(r.Name) == nil {
+					p.t.Fatalf("%s: @%s references @%s, which the module lacks", what, f.Name, r.Name)
 				}
 			}
 		})
@@ -473,5 +483,61 @@ func BenchmarkSessionEdit(b *testing.B) {
 		if _, _, err := s.edit([]string{fillerDelta(orig, tgt, (tgt+k)%fillers)}, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWarmPortCopiesWhatItWrites: a warm port after a one-filler edit
+// of the serve-edit module copies fewer than a quarter of the snapshot
+// functions and shares the rest, while the cold port copies them all,
+// and both give the whole-clone port's text.
+func TestWarmPortCopiesWhatItWrites(t *testing.T) {
+	s, fillers := loadFillerSession(t)
+	ported, cold, err := s.port(context.Background(), 1, nil)
+	if err != nil {
+		t.Fatalf("cold port: %v", err)
+	}
+	if n := len(s.snap.Funcs); cold.FunctionsCopied != n {
+		t.Errorf("cold port copied %d of %d functions, want all", cold.FunctionsCopied, n)
+	}
+	want, _, err := atomig.PortClone(s.snap, portOptions())
+	if err != nil {
+		t.Fatalf("reference port: %v", err)
+	}
+	if ported.String() != want.String() {
+		t.Errorf("cold port differs from the whole-clone port")
+	}
+
+	if _, _, err := s.edit([]string{fillerDelta(s.base, 0, 1%fillers)}, nil); err != nil {
+		t.Fatalf("edit: %v", err)
+	}
+	snapText := s.snap.String()
+	ported, warm, err := s.port(context.Background(), 1, nil)
+	if err != nil {
+		t.Fatalf("warm port: %v", err)
+	}
+	n := len(s.snap.Funcs)
+	t.Logf("warm port after a one-filler edit copied %d of %d functions", warm.FunctionsCopied, n)
+	if warm.CacheMisses != 1 || 4*warm.FunctionsCopied >= n {
+		t.Errorf("warm port: %d misses, %d of %d functions copied; want 1 miss and fewer than a quarter copied",
+			warm.CacheMisses, warm.FunctionsCopied, n)
+	}
+	shared := 0
+	for i, f := range ported.Funcs {
+		if f == s.snap.Funcs[i] {
+			shared++
+		}
+	}
+	if shared+warm.FunctionsCopied != n {
+		t.Errorf("%d functions shared and %d copied, of %d", shared, warm.FunctionsCopied, n)
+	}
+	want, _, err = atomig.PortClone(s.snap, portOptions())
+	if err != nil {
+		t.Fatalf("reference port: %v", err)
+	}
+	if ported.String() != want.String() {
+		t.Errorf("warm port differs from the whole-clone port")
+	}
+	if s.snap.String() != snapText {
+		t.Errorf("the warm port wrote the snapshot")
 	}
 }

@@ -58,13 +58,17 @@ func InsertFenceBefore(anchor *ir.Instr) *ir.Instr { return insertFence(anchor, 
 // InsertFenceAfter inserts an explicit seq_cst fence after anchor.
 func InsertFenceAfter(anchor *ir.Instr) *ir.Instr { return insertFence(anchor, 1) }
 
-// ExplicitStats reports what the explicit-annotation pass changed.
+// ExplicitStats reports what the explicit-annotation pass found and
+// changed.
 type ExplicitStats struct {
 	// VolatileConverted counts volatile accesses turned into SC atomics.
 	VolatileConverted int
 	// AtomicUpgraded counts existing atomics whose (weaker) order was
 	// raised to seq_cst.
 	AtomicUpgraded int
+	// Fences and Atomics are the barrier inventory the pass found, as
+	// CountBarriers counts it, before it changed anything.
+	Fences, Atomics int
 }
 
 // UpgradeExplicitAnnotations implements paper section 3.2: accesses to
@@ -79,6 +83,8 @@ func UpgradeExplicitAnnotations(m *ir.Module) ExplicitStats {
 		fst := UpgradeExplicitAnnotationsFunc(f)
 		st.VolatileConverted += fst.VolatileConverted
 		st.AtomicUpgraded += fst.AtomicUpgraded
+		st.Fences += fst.Fences
+		st.Atomics += fst.Atomics
 	}
 	return st
 }
@@ -89,8 +95,14 @@ func UpgradeExplicitAnnotations(m *ir.Module) ExplicitStats {
 func UpgradeExplicitAnnotationsFunc(f *ir.Func) ExplicitStats {
 	var st ExplicitStats
 	f.Instrs(func(in *ir.Instr) {
+		if in.Op == ir.OpFence {
+			st.Fences++
+		}
 		if !in.IsMemAccess() {
 			return
+		}
+		if in.Ord.Atomic() {
+			st.Atomics++
 		}
 		switch {
 		case in.Volatile && in.Ord != ir.SeqCst:
@@ -195,7 +207,17 @@ func mergeAdjacentFences(m *ir.Module) int {
 // CountBarriers tallies the synchronization constructs present in a
 // module: explicit fences and implicit barriers (atomic accesses).
 func CountBarriers(m *ir.Module) (explicit, implicit int) {
-	m.EachInstr(func(_ *ir.Func, in *ir.Instr) {
+	for _, f := range m.Funcs {
+		e, i := CountFuncBarriers(f)
+		explicit += e
+		implicit += i
+	}
+	return explicit, implicit
+}
+
+// CountFuncBarriers is CountBarriers for one function.
+func CountFuncBarriers(f *ir.Func) (explicit, implicit int) {
+	f.Instrs(func(in *ir.Instr) {
 		switch {
 		case in.Op == ir.OpFence:
 			explicit++

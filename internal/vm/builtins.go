@@ -38,12 +38,16 @@ func (v *VM) call(t *thread, in *ir.Instr) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("vm: spawn argument is not a function reference")
 		}
+		fi := v.funcRef(fr)
+		if fi < 0 {
+			return false, fmt.Errorf("vm: spawn of unknown function @%s", fr.Name)
+		}
 		// Fork the parent's view into a recycled memmodel thread: joining
 		// into an empty view equals cloning (zero timestamps are absent in
 		// both representations).
 		mm := v.allocMM()
 		mm.JoinThread(t.mm)
-		child := v.newThread(fr.Fn, mm)
+		child := v.newThread(v.mod.Funcs[fi], mm)
 		if v.hook != nil {
 			v.hook.OnSpawn(t.id, child.id)
 		}

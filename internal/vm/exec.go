@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/diag"
 	"repro/internal/ir"
@@ -88,11 +89,13 @@ type VM struct {
 	mc *memmodel.Machine
 	// globals maps global names to addresses; globalAddr resolves global
 	// operands by pointer, memoizing the name lookup (an operand need not
-	// belong to the module, and an unknown name is address 0); funcIndex
-	// memoizes FuncRef operands' function indices.
+	// belong to the module, and an unknown name is address 0); funcRefs
+	// memoizes the index in mod.Funcs of the function each reference
+	// names (-1 when the module has none), so a reference's name is
+	// resolved once per VM.
 	globals    map[string]memmodel.Addr
 	globalAddr map[*ir.Global]memmodel.Addr
-	funcIndex  map[*ir.Func]int
+	funcRefs   map[*ir.FuncRef]int
 	// Cell layout (memory.go): nGlobal dense global cells, then heapCells
 	// dense heap cells. initVals holds the globals' initial values up to
 	// the last nonzero one; initOver those of global cells past the dense
@@ -523,6 +526,20 @@ func (v *VM) Result() *Result { return v.res }
 // limit).
 func (v *VM) Halted() bool { return v.halted }
 
+// funcRef returns the index in mod.Funcs of the function r names, or -1
+// when the module has none.
+func (v *VM) funcRef(r *ir.FuncRef) int {
+	i, ok := v.funcRefs[r]
+	if !ok {
+		i = slices.IndexFunc(v.mod.Funcs, func(f *ir.Func) bool { return f.Name == r.Name })
+		if v.funcRefs == nil {
+			v.funcRefs = make(map[*ir.FuncRef]int)
+		}
+		v.funcRefs[r] = i
+	}
+	return i
+}
+
 func (v *VM) eval(t *thread, val ir.Value) int64 {
 	switch x := val.(type) {
 	case *ir.ConstInt:
@@ -539,17 +556,8 @@ func (v *VM) eval(t *thread, val ir.Value) int64 {
 	case *ir.Instr:
 		return t.frame().regs[x.ID]
 	case *ir.FuncRef:
-		if i, ok := v.funcIndex[x.Fn]; ok {
+		if i := v.funcRef(x); i >= 0 {
 			return int64(i)
-		}
-		for i, f := range v.mod.Funcs {
-			if f == x.Fn {
-				if v.funcIndex == nil {
-					v.funcIndex = make(map[*ir.Func]int)
-				}
-				v.funcIndex[x.Fn] = i
-				return int64(i)
-			}
 		}
 	}
 	// Unreachable on verified modules; the position makes watchdog and

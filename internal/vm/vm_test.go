@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -137,6 +138,53 @@ void main_thread(void) {
 		if res.Status != StatusDone {
 			t.Fatalf("seed %d: status = %s (%s)", seed, res.Status, res.FailMsg)
 		}
+	}
+}
+
+// TestFuncRefResolvesInItsModule: a function reference names its
+// target, so a spawner two modules share spawns each module's own
+// function of that name, in every VM and whatever ran before, and a
+// module that lacks the name fails the spawn.
+func TestFuncRefResolvesInItsModule(t *testing.T) {
+	good := compile(t, `
+int done;
+void worker(void) { done = 1; }
+void main_thread(void) { spawn(worker); join(); assert(done == 1); }
+`)
+	lazy, err := ir.ParseFunc(good, "define void @worker() {\nentry:\n  ret void\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := good.Derive(good.Funcs)
+	bad.ReplaceFuncs(lazy)
+	if bad.Func("main_thread") != good.Func("main_thread") {
+		t.Fatal("the modules do not share their spawner")
+	}
+	opts := Options{Model: memmodel.ModelSC, Entries: []string{"main_thread"}}
+	for i, m := range []*ir.Module{bad, good, bad, good} {
+		want := StatusDone
+		if m == bad {
+			want = StatusAssertFailed
+		}
+		if res := run(t, m, opts); res.Status != want {
+			t.Errorf("run %d: status %s, want %s", i, res.Status, want)
+		}
+	}
+	v, err := New(good, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if res, err := v.Run(); err != nil || res.Status != StatusDone {
+			t.Fatalf("reused VM, run %d: %v %v", i, res, err)
+		}
+		if err := v.Reset(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	none := good.Derive([]*ir.Func{good.Func("main_thread")})
+	if _, err := Run(none, opts); err == nil || !strings.Contains(err.Error(), "spawn of unknown function @worker") {
+		t.Errorf("spawn of a function the module lacks: err = %v", err)
 	}
 }
 

@@ -4,8 +4,9 @@
 # file, edit one function through the protocol, re-port, and require
 # (a) both ports byte-identical to what the CLI produces for the same
 # module, (b) the edit rebuilt exactly one snapshot function and the
-# re-port re-analyzed exactly that one, and (c) a clean shutdown with
-# exit 0.
+# re-port re-analyzed exactly that one, (c) the cold port copied every
+# snapshot function and the warm re-port fewer than half of them, and
+# (d) a clean shutdown with exit 0.
 #
 # The protocol executes requests on one connection concurrently, so
 # the driver waits for each response before sending an order-dependent
@@ -60,6 +61,20 @@ send "{\"id\":\"cold\",\"op\":\"port\",\"out\":\"$DIR/serve-cold.air\"}"
 wait_ok cold
 cmp "$DIR/serve-ref-cold.air" "$DIR/serve-cold.air"
 
+# field <id> <name>: the integer field <name> of the response to <id>.
+field() {
+	grep "\"id\":\"$1\"" "$DIR/resp" | sed -n "s/.*\"$2\":\([0-9]*\).*/\1/p"
+}
+# With every summary slot empty, the cold port copies every snapshot
+# function (the rest of a port shares the session's snapshot).
+FUNCS=$(field load funcs)
+COLD_COPIED=$(field cold FunctionsCopied)
+if [ -z "$FUNCS" ] || [ "$COLD_COPIED" != "$FUNCS" ]; then
+	echo "serve-smoke: cold port copied ${COLD_COPIED:-?} of ${FUNCS:-?} functions, want all:" >&2
+	grep '"id":"cold"' "$DIR/resp" >&2
+	exit 1
+fi
+
 # Edit one function: give @lg_compute0 the donor body of @lg_compute1
 # (generated filler functions share a signature and are never called).
 send "{\"id\":\"dump0\",\"op\":\"dump\",\"out\":\"$DIR/serve-dump0.air\"}"
@@ -91,6 +106,13 @@ if grep '"id":"warm"' "$DIR/resp" | grep -q '"CacheHits":0[,}]'; then
 	grep '"id":"warm"' "$DIR/resp" >&2
 	exit 1
 fi
+# The warm re-port copies only the functions it writes.
+WARM_COPIED=$(field warm FunctionsCopied)
+if [ -z "$WARM_COPIED" ] || [ $((2 * WARM_COPIED)) -ge "$FUNCS" ]; then
+	echo "serve-smoke: warm re-port copied ${WARM_COPIED:-?} of $FUNCS functions, want fewer than half:" >&2
+	grep '"id":"warm"' "$DIR/resp" >&2
+	exit 1
+fi
 send "{\"id\":\"dump1\",\"op\":\"dump\",\"out\":\"$DIR/serve-dump1.air\"}"
 wait_ok dump1
 "$ATOMIG" -j 1 -o "$DIR/serve-ref-warm.air" "$DIR/serve-dump1.air"
@@ -102,4 +124,4 @@ wait_ok bye
 exec 3>&-
 wait $SRV
 trap - EXIT
-echo "serve-smoke: ok (cold and warm ports byte-identical to CLI, 1 snapshot function rebuilt, warm re-analysis = 1 function)"
+echo "serve-smoke: ok (cold and warm ports byte-identical to CLI, 1 snapshot function rebuilt, warm re-analysis = 1 function, $WARM_COPIED of $FUNCS functions copied warm)"
