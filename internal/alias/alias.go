@@ -125,9 +125,15 @@ func pathString(path []ir.GEPStep) string {
 // pure final-GEP matching).
 func Reprs(addr ir.Value) (Loc, []Loc) {
 	primary := LocOf(addr)
+	return primary, extrasOf(addr, primary)
+}
+
+// extrasOf returns Reprs' additional descriptors of addr, whose primary
+// descriptor is primary.
+func extrasOf(addr ir.Value, primary Loc) []Loc {
 	g, ok := addr.(*ir.Instr)
 	if !ok || g.Op != ir.OpGEP {
-		return primary, nil
+		return nil
 	}
 	// Collect the GEP chain from the final address back to its root.
 	var chain []*ir.Instr
@@ -176,7 +182,7 @@ func Reprs(addr ir.Value) (Loc, []Loc) {
 			}
 		}
 	}
-	return primary, extras
+	return extras
 }
 
 // suffixPath concatenates the paths of the chain GEPs.

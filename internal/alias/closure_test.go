@@ -24,10 +24,11 @@ const rerootModule = "; module reroot\n%cell = type {[4 x i64] slots, i64 pad}\n
 	"define void @fb() {\nentry:\n  %t0 = getelementptr %box, @two, field 0, field 0\n  %t1 = load i64, %t0\n  ret void\n}\n"
 
 // closure is the reference the alias map is checked against. It takes
-// each access's descriptors from PrepareFunc and shares nothing else
-// with the map's build: the classes are the connected components,
-// found by breadth-first search, of the graph that joins every shared
-// primary descriptor to its extras.
+// every access's descriptor from LocOf and the shared accesses'
+// descriptors from PrepareFunc, and shares nothing else with the map's
+// build: the classes are the connected components, found by
+// breadth-first search, of the graph that joins every shared primary
+// descriptor to its extras.
 type closure struct {
 	locs map[*ir.Instr]alias.Loc
 	// root maps every descriptor of the graph to its component's
@@ -62,10 +63,14 @@ func newClosure(m *ir.Module) *closure {
 			nodes = append(nodes, l)
 		}
 	}
+	m.EachInstr(func(_ *ir.Func, in *ir.Instr) {
+		if in.IsMemAccess() {
+			c.locs[in] = alias.LocOf(in.Addr())
+		}
+	})
 	var shared []alias.Access
 	for _, f := range m.Funcs {
 		for _, a := range alias.PrepareFunc(f) {
-			c.locs[a.In] = a.Primary
 			if !a.Primary.Shared() {
 				continue
 			}
@@ -138,6 +143,34 @@ func (c *closure) explore(seeds []*ir.Instr) []*ir.Instr {
 // count, the shared descriptors, and exploration from every access in
 // module order, in reverse, and from every other access.
 func TestMapMatchesClosure(t *testing.T) {
+	modules := testModules(t)
+	names := make([]string, 0, len(modules))
+	for name := range modules {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		m := modules[name]
+		t.Run(name, func(t *testing.T) {
+			want := newClosure(m)
+			if m.Name == "reroot" {
+				rerooted := alias.Loc{Kind: alias.LocField, Name: "cell:0.[]"}
+				if rt := want.root[rerooted]; rt.Name != "box:0.0" || want.merges != 2 {
+					t.Fatalf("reroot module no longer re-roots: root(%s) = %s, %d merges", rerooted, rt, want.merges)
+				}
+			}
+			for _, w := range []int{1, 4} {
+				matchClosure(t, w, m, want)
+			}
+		})
+	}
+}
+
+// testModules are the inputs the alias map is checked on, by name: the
+// corpus programs, the parseable fuzz seeds, the re-rooting module and
+// a 20k-line generated module.
+func testModules(t *testing.T) map[string]*ir.Module {
+	t.Helper()
 	modules := map[string]*ir.Module{}
 	for _, p := range corpus.All() {
 		m, err := p.Compile()
@@ -160,27 +193,7 @@ func TestMapMatchesClosure(t *testing.T) {
 		t.Fatalf("compile %s: %v", spec.Name, err)
 	}
 	modules["large-20k"] = res.Module
-
-	names := make([]string, 0, len(modules))
-	for name := range modules {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m := modules[name]
-		t.Run(name, func(t *testing.T) {
-			want := newClosure(m)
-			if m.Name == "reroot" {
-				rerooted := alias.Loc{Kind: alias.LocField, Name: "cell:0.[]"}
-				if rt := want.root[rerooted]; rt.Name != "box:0.0" || want.merges != 2 {
-					t.Fatalf("reroot module no longer re-roots: root(%s) = %s, %d merges", rerooted, rt, want.merges)
-				}
-			}
-			for _, w := range []int{1, 4} {
-				matchClosure(t, w, m, want)
-			}
-		})
-	}
+	return modules
 }
 
 func matchClosure(t *testing.T, workers int, m *ir.Module, want *closure) {

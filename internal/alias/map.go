@@ -10,12 +10,13 @@ import (
 	"repro/internal/ir"
 )
 
-// Map is the module-wide index from location descriptor to all memory
-// accesses of that location, closed under the equivalence of same-cell
-// descriptors (Reprs). After the build it is immutable and safe for
-// concurrent readers.
+// Map is the module-wide index from shared location descriptor to all
+// memory accesses of that location, closed under the equivalence of
+// same-cell descriptors (Reprs). Accesses with a local or unknown
+// descriptor are never unioned or explored, so the map holds none of
+// them. After the build it is immutable and safe for concurrent
+// readers.
 type Map struct {
-	locs map[*ir.Instr]Loc
 	// canon maps every shared descriptor of the module, primary or
 	// extra, to its class root: the class's smallest member (locLess).
 	canon map[Loc]Loc
@@ -25,15 +26,15 @@ type Map struct {
 	merges  int64
 }
 
-// BuildMap scans the module and indexes every memory access with a
-// single worker.
+// BuildMap scans the module and indexes every shared memory access
+// with a single worker.
 func BuildMap(m *ir.Module) *Map { return BuildMapFromAccesses(m, 1, nil) }
 
-// Access is one memory access's contribution to the alias map: the
-// access instruction, its position, and the descriptors of its address
-// (Reprs). PrepareFunc computes contributions per function; a summarized
-// slice replayed onto an instruction-identical function instance feeds
-// BuildMapFromAccesses exactly as a fresh scan would.
+// Access is one shared memory access's contribution to the alias map:
+// the access instruction, its position, and the descriptors of its
+// address (Reprs). PrepareFunc computes contributions per function; a
+// summarized slice replayed onto an instruction-identical function
+// instance feeds BuildMapFromAccesses exactly as a fresh scan would.
 type Access struct {
 	In *ir.Instr
 	// Pos is In's 1-based position in the function's block-order
@@ -46,10 +47,10 @@ type Access struct {
 }
 
 // PrepareFunc computes one function's alias contributions: every
-// memory access, in block order, with its descriptors. The position
-// counter advances over every instruction (not just accesses), so a
-// contribution can be re-anchored positionally on another instance of
-// the same function.
+// memory access with a shared descriptor, in block order, with its
+// descriptors. The position counter advances over every instruction
+// (not just accesses), so a contribution can be re-anchored
+// positionally on another instance of the same function.
 func PrepareFunc(f *ir.Func) []Access {
 	var out []Access
 	pos := 0
@@ -58,15 +59,20 @@ func PrepareFunc(f *ir.Func) []Access {
 		if !in.IsMemAccess() {
 			return
 		}
-		primary, extras := Reprs(in.Addr())
-		out = append(out, Access{In: in, Pos: pos, Primary: primary, Extras: extras})
+		addr := in.Addr()
+		primary := LocOf(addr)
+		if !primary.Shared() {
+			return
+		}
+		out = append(out, Access{In: in, Pos: pos, Primary: primary, Extras: extrasOf(addr, primary)})
 	})
 	return out
 }
 
 // BuildMapFromAccesses builds the alias map from per-function access
 // contributions supplied by get (fi is the function's index in
-// m.Funcs). A nil get scans each function in place (PrepareFunc). Only
+// m.Funcs). A nil get scans each function in place (PrepareFunc). A
+// contribution whose primary descriptor is not shared is skipped. Only
 // the get calls fan out over the workers; the map is then indexed in
 // module order on the calling goroutine, so it is identical for every
 // worker count. A panic in get comes back on the calling goroutine as
@@ -81,17 +87,11 @@ func BuildMapFromAccesses(m *ir.Module, workers int, get func(fi int, f *ir.Func
 		accs[fi] = get(fi, m.Funcs[fi])
 		return nil
 	})
-	n := 0
-	for _, fa := range accs {
-		n += len(fa)
-	}
-	am := &Map{locs: make(map[*ir.Instr]Loc, n), canon: make(map[Loc]Loc)}
+	am := &Map{canon: make(map[Loc]Loc)}
 
-	// Pass 1: record each access's descriptor, and union every shared
-	// primary with its other spellings.
+	// Pass 1: union every shared primary with its other spellings.
 	for _, fa := range accs {
 		for _, a := range fa {
-			am.locs[a.In] = a.Primary
 			if !a.Primary.Shared() {
 				continue
 			}
@@ -166,8 +166,14 @@ func locLess(a, b Loc) bool {
 	return a.Name < b.Name
 }
 
-// Loc returns the cached primary descriptor of a memory access.
-func (am *Map) Loc(in *ir.Instr) Loc { return am.locs[in] }
+// Loc returns the primary descriptor of a memory access (LocOf of its
+// address), and the zero Loc for any other instruction.
+func (am *Map) Loc(in *ir.Instr) Loc {
+	if !in.IsMemAccess() {
+		return Loc{}
+	}
+	return LocOf(in.Addr())
+}
 
 // Canon returns the canonical representative of loc's sticky class:
 // the lexicographically smallest descriptor it was merged with (loc
@@ -193,14 +199,16 @@ func (am *Map) Buddies(loc Loc) []*ir.Instr {
 }
 
 // SharedLocs returns all shared primary descriptors present in the
-// module, sorted.
+// module, sorted: the descriptors of the classes' accesses.
 func (am *Map) SharedLocs() []Loc {
 	seen := make(map[Loc]bool)
 	var out []Loc
-	for _, l := range am.locs {
-		if l.Shared() && !seen[l] {
-			seen[l] = true
-			out = append(out, l)
+	for _, ins := range am.classes {
+		for _, in := range ins {
+			if l := am.Loc(in); !seen[l] {
+				seen[l] = true
+				out = append(out, l)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return locLess(out[i], out[j]) })

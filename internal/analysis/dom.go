@@ -16,6 +16,9 @@ type DomTree struct {
 	// dominator algorithm and reused by loop detection.
 	order map[*ir.Block]int
 	rpo   []*ir.Block
+	// preds are the function's predecessor lists, which loop detection
+	// reuses.
+	preds map[*ir.Block][]*ir.Block
 }
 
 // Dominators computes the dominator tree of f using the classic
@@ -48,7 +51,7 @@ func Dominators(f *ir.Func) *DomTree {
 		d.order[b] = len(d.rpo)
 		d.rpo = append(d.rpo, b)
 	}
-	preds := f.Preds()
+	d.preds = f.Preds()
 	d.idom[entry] = entry
 	changed := true
 	for changed {
@@ -58,7 +61,7 @@ func Dominators(f *ir.Func) *DomTree {
 				continue
 			}
 			var newIdom *ir.Block
-			for _, p := range preds[b] {
+			for _, p := range d.preds[b] {
 				if d.idom[p] == nil {
 					continue // unreachable or not yet processed
 				}

@@ -21,7 +21,8 @@ type Loop struct {
 func (l *Loop) Contains(in *ir.Instr) bool { return l.Blocks[in.Blk] }
 
 // FindLoops returns the natural loops of f, one per loop header (back
-// edges sharing a header are merged).
+// edges sharing a header are merged). dom must be f's dominator tree;
+// its predecessor lists walk the loop bodies.
 func FindLoops(f *ir.Func, dom *DomTree) []*Loop {
 	byHeader := make(map[*ir.Block]*Loop)
 	var headers []*ir.Block
@@ -39,7 +40,7 @@ func FindLoops(f *ir.Func, dom *DomTree) []*Loop {
 				byHeader[s] = l
 				headers = append(headers, s)
 			}
-			collectLoopBody(l, b, f.Preds())
+			collectLoopBody(l, b, dom.preds)
 		}
 	}
 	loops := make([]*Loop, 0, len(headers))

@@ -446,8 +446,7 @@ func runPipeline(m *ir.Module, o *owner, opts Options) (rep *Report, err error) 
 			if err := opts.ctxErr(); err != nil {
 				return err
 			}
-			f := m.Funcs[fi]
-			anchors[fi] = optFenceAnchors(f, accs[fi], byFn[f], canonOpt, am)
+			anchors[fi] = optFenceAnchors(accs[fi], byFn[m.Funcs[fi]], canonOpt, am, o)
 			return nil
 		})
 		if err != nil {

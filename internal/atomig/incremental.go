@@ -36,9 +36,14 @@ import (
 // single walk. It holds no IR pointers, so a kept summary pins no
 // module, and it is never mutated once made.
 type FuncSummary struct {
-	spin     []loopSummary
-	polling  []loopSummary
+	spin    []loopSummary
+	polling []loopSummary
+	// accesses are the alias contributions: the accesses with a shared
+	// descriptor, in walk order.
 	accesses []accessSummary
+	// memPos holds the 1-based walk position of every memory access,
+	// shared or not; a replay checks each access against it.
+	memPos   []int32
 	upgrades []upgradeSummary
 	barriers []int32 // ordinals of compiler-barrier seed accesses
 	atomics  []int32 // ordinals of post-upgrade atomic accesses
@@ -61,7 +66,7 @@ type loopSummary struct {
 	blocks      []int32
 }
 
-// accessSummary position-encodes one memory access's alias
+// accessSummary position-encodes one shared memory access's alias
 // contribution (alias.Access without the instruction pointer).
 type accessSummary struct {
 	pos     int32
@@ -72,7 +77,8 @@ type accessSummary struct {
 // funcScan is the positional index of one function instance: the
 // block-order instruction array (ordinal -> instruction) and its
 // inverses. Only the cold path (summarize) needs the inverse maps; the
-// replay path works from the flat array alone.
+// replay path needs the flat array alone, and only to resolve
+// ordinals.
 type funcScan struct {
 	instrs   []*ir.Instr
 	index    map[*ir.Instr]int
@@ -125,6 +131,9 @@ func summarize(f *ir.Func, d funcDetect, accs []alias.Access) *FuncSummary {
 		})
 	}
 	for i, in := range sc.instrs {
+		if in.IsMemAccess() {
+			s.memPos = append(s.memPos, int32(i+1))
+		}
 		switch {
 		case in.HasMark(ir.MarkFromVolatile):
 			s.upgrades = append(s.upgrades, upgradeSummary{pos: int32(i), volatile: true})
@@ -173,37 +182,48 @@ func summarizeLoops(infos []*analysis.SpinloopInfo, sc *funcScan) []loopSummary 
 // function untouched and ok false — the caller falls back to full
 // re-analysis, the safe degradation mode.
 func (s *FuncSummary) replay(f *ir.Func) (d funcDetect, accs []alias.Access, ok bool) {
-	instrs := flatInstrs(f)
+	// Only ordinals are resolved through the flat instruction array; a
+	// summary without any walks the blocks alone.
+	var instrs []*ir.Instr
+	if len(s.spin)+len(s.polling)+len(s.upgrades)+len(s.barriers)+len(s.atomics) > 0 {
+		instrs = flatInstrs(f)
+	}
 	if d.spin, ok = replayLoops(s.spin, f, instrs); !ok {
 		return funcDetect{}, nil, false
 	}
 	if d.polling, ok = replayLoops(s.polling, f, instrs); !ok {
 		return funcDetect{}, nil, false
 	}
-	// The i-th summarized access must be the i-th memory access of the
-	// walk; the recorded position double-checks the pairing. The same
-	// walk takes the barrier inventory, before any upgrade.
+	// The i-th memory access of the walk must sit at the i-th recorded
+	// position, and each summarized shared access at the position of one
+	// of them, in order. The same walk takes the barrier inventory,
+	// before any upgrade.
 	accs = make([]alias.Access, 0, len(s.accesses))
-	pos, ai := 0, 0
-	for _, in := range instrs {
-		pos++
-		if in.Op == ir.OpFence {
-			d.expl.Fences++
+	pos, mi, ai := 0, 0, 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			pos++
+			if in.Op == ir.OpFence {
+				d.expl.Fences++
+			}
+			if !in.IsMemAccess() {
+				continue
+			}
+			if in.Ord.Atomic() {
+				d.expl.Atomics++
+			}
+			if mi >= len(s.memPos) || int(s.memPos[mi]) != pos {
+				return funcDetect{}, nil, false
+			}
+			mi++
+			if ai < len(s.accesses) && int(s.accesses[ai].pos) == pos {
+				a := s.accesses[ai]
+				accs = append(accs, alias.Access{In: in, Pos: pos, Primary: a.primary, Extras: a.extras})
+				ai++
+			}
 		}
-		if !in.IsMemAccess() {
-			continue
-		}
-		if in.Ord.Atomic() {
-			d.expl.Atomics++
-		}
-		if ai >= len(s.accesses) || int(s.accesses[ai].pos) != pos {
-			return funcDetect{}, nil, false
-		}
-		a := s.accesses[ai]
-		accs = append(accs, alias.Access{In: in, Pos: pos, Primary: a.primary, Extras: a.extras})
-		ai++
 	}
-	if ai != len(s.accesses) {
+	if mi != len(s.memPos) || ai != len(s.accesses) {
 		return funcDetect{}, nil, false
 	}
 	// Validate the mutation and seed ordinals against the pre-upgrade

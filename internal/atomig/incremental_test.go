@@ -149,6 +149,40 @@ func TestDetectCacheCorruptFallback(t *testing.T) {
 	}
 }
 
+// TestReplayChecksEveryAccess: a summary's fit check covers every
+// memory access, not only the shared ones its alias contributions
+// hold. Three bodies whose shared accesses sit at the same positions —
+// a load of a local slot before an add, after it, or no such load — do
+// not take each other's summaries.
+func TestReplayChecksEveryAccess(t *testing.T) {
+	parse := func(t3, t4 string) *ir.Func {
+		m, err := ir.ParseModule("; module fit\n@a = global i64\n\n" +
+			"define i64 @f(i64 %x) {\nentry:\n  %t0 = alloca i64\n  store %x, %t0\n  %t2 = load i64, @a\n" +
+			"  %t3 = " + t3 + "\n  %t4 = " + t4 + "\n  %t5 = add %t2, %t3\n  store %t5, @a\n  ret %t5\n}\n")
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		return m.Funcs[0]
+	}
+	bodies := []*ir.Func{
+		parse("load i64, %t0", "add %x, 1"),
+		parse("add %x, 1", "load i64, %t0"),
+		parse("add %x, 1", "add %x, 2"),
+	}
+	for i, f := range bodies {
+		var sum *FuncSummary
+		detectFunc(f, DefaultOptions(), &sum)
+		if len(sum.accesses) != 2 {
+			t.Fatalf("body %d: %d shared accesses summarized, want 2", i, len(sum.accesses))
+		}
+		for j, g := range bodies {
+			if _, _, ok := sum.replay(g); ok != (i == j) {
+				t.Errorf("body %d's summary fits body %d: %v, want %v", i, j, ok, i == j)
+			}
+		}
+	}
+}
+
 // TestPortCanceled: a pre-canceled context stops the port with a
 // wrapped context error and no goroutine debris.
 func TestPortCanceled(t *testing.T) {

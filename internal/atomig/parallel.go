@@ -38,57 +38,62 @@ type fenceAnchors struct {
 // optFenceAnchors finds where the optimistic-loop fence protocol puts
 // fences in one function, without writing it: a read of a loop's
 // control location inside that loop needs a seq_cst fence before it; a
-// store to any optimistic-control location needs one after it. The
-// function is walked in block order, so the anchors, and the fence IDs
-// the merge gives them in this order, are deterministic. accs are the
-// function's memory accesses in walk order, as detection prepared them
-// for the alias map, so each access's descriptor is read from its entry
-// rather than looked up in the map; they may belong to the instance
-// detection saw, of which f may since be a copy.
+// store to any optimistic-control location needs one after it. Control
+// locations are shared descriptors, so only the function's shared
+// accesses can be anchors: accs, in walk order, as detection prepared
+// them for the alias map. The anchors, and the fence IDs the merge
+// gives them in this order, are therefore deterministic. Each access's
+// descriptor is read from its entry rather than looked up in the map.
+// The entries belong to the instance detection saw; a sticky buddy may
+// since have copied the function, so the anchors are taken, and the
+// adjacent-fence check read, on the copy (o.current).
 //
 // An anchor already adjacent to a seq_cst fence is skipped: the fence
 // it needs is there. That makes the port idempotent — re-porting a
 // ported module inserts nothing — and merges the redundant fences that
 // back-to-back protocol anchors would otherwise stack up.
-func optFenceAnchors(f *ir.Func, accs []alias.Access, loops []optLoopCtl, optLocs map[alias.Loc]bool, am *alias.Map) (a fenceAnchors) {
+func optFenceAnchors(accs []alias.Access, loops []optLoopCtl, optLocs map[alias.Loc]bool, am *alias.Map, o *owner) (a fenceAnchors) {
 	if len(loops) == 0 && len(optLocs) == 0 {
 		return a
 	}
-	isSCFence := func(in *ir.Instr) bool { return in.Op == ir.OpFence && in.Ord == ir.SeqCst }
-	ai := 0
-	for _, b := range f.Blocks {
-		// Only a read inside one of f's optimistic loops can need a fence
-		// before it, so only such a read's location is canonicalized.
-		inLoop := false
-		for _, ol := range loops {
-			inLoop = inLoop || ol.loop.Blocks[b]
-		}
-		for i, in := range b.Instrs {
-			if !in.IsMemAccess() {
-				continue
-			}
-			loc := accs[ai].Primary
-			ai++
-			fenced := false
-			if inLoop && in.Reads() {
-				canon := am.Canon(loc)
-				for _, ol := range loops {
-					if !ol.loop.Blocks[b] || !ol.ctl[canon] {
-						continue
-					}
+	for _, acc := range accs {
+		in, canon := acc.In, am.Canon(acc.Primary)
+		// Only a read of a loop's control location inside that loop needs
+		// a fence before it. Most accesses are not anchors, so the loop and
+		// descriptor tests come before the instruction is read.
+		fenced := false
+		if len(loops) > 0 && in.Reads() {
+			for _, ol := range loops {
+				if ol.loop.Blocks[in.Blk] && ol.ctl[canon] {
 					fenced = true
-					if i == 0 || !isSCFence(b.Instrs[i-1]) {
-						a.before = append(a.before, in)
-					}
 					break
 				}
 			}
-			if in.Writes() && !fenced && optLocs[am.Canon(loc)] {
-				if i+1 >= len(b.Instrs) || !isSCFence(b.Instrs[i+1]) {
-					a.after = append(a.after, in)
-				}
+		}
+		switch {
+		case fenced:
+			cur := o.current(in)
+			if i := blockIndex(cur); i == 0 || !isSCFence(cur.Blk.Instrs[i-1]) {
+				a.before = append(a.before, cur)
+			}
+		case optLocs[canon] && in.Writes():
+			cur := o.current(in)
+			if i := blockIndex(cur); i+1 >= len(cur.Blk.Instrs) || !isSCFence(cur.Blk.Instrs[i+1]) {
+				a.after = append(a.after, cur)
 			}
 		}
 	}
 	return a
 }
+
+// blockIndex returns in's index in its block.
+func blockIndex(in *ir.Instr) int {
+	for i, x := range in.Blk.Instrs {
+		if x == in {
+			return i
+		}
+	}
+	panic("atomig: instruction outside its block")
+}
+
+func isSCFence(in *ir.Instr) bool { return in.Op == ir.OpFence && in.Ord == ir.SeqCst }

@@ -1,8 +1,12 @@
 package minic
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"repro/internal/appgen"
 )
 
 // BenchmarkCompile measures frontend throughput (lex, parse, lower,
@@ -56,6 +60,30 @@ func TestTokenizeAllocs(t *testing.T) {
 	if perLine := allocs / float64(lines); perLine > 0.5 {
 		t.Errorf("Tokenize allocates %.0f times (%.3f/line) on %d lines, want <= 0.5/line",
 			allocs, perLine, lines)
+	}
+}
+
+// TestTokenizeBytes bounds the bytes Tokenize allocates, which
+// TestTokenizeAllocs cannot see: a token slice that regrows costs a few
+// allocations but up to twice its final size again. On the 100k-line
+// generated module Tokenize may allocate at most 1.5 times its final
+// token array; a slice sized for one token per 4 bytes regrows twice
+// there and allocates 2.75 times.
+func TestTokenizeBytes(t *testing.T) {
+	src, _ := appgen.GenerateLarge(appgen.LargeSpec("tokenize", 100_000, 7))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	toks, err := Tokenize(src)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	array := float64(len(toks)) * float64(unsafe.Sizeof(Token{}))
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("%d tokens in %d bytes: allocated %.1f MB for a %.1f MB token array (%.2fx)",
+		len(toks), len(src), got/(1<<20), array/(1<<20), got/array)
+	if got > 1.5*array {
+		t.Errorf("Tokenize allocated %.2fx its final token array, want <= 1.5x", got/array)
 	}
 }
 

@@ -486,6 +486,60 @@ func BenchmarkSessionEdit(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionEditPort measures one serve-edit round: the edit
+// BenchmarkSessionEdit makes, then a warm port of the edited session.
+func BenchmarkSessionEditPort(b *testing.B) {
+	s, fillers := loadFillerSession(b)
+	if _, _, err := s.port(context.Background(), 1, nil); err != nil {
+		b.Fatal(err)
+	}
+	orig := s.base
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tgt, k := i%fillers, 1+i/fillers
+		if _, _, err := s.edit([]string{fillerDelta(orig, tgt, (tgt+k)%fillers)}, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := s.port(context.Background(), 1, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestWarmPortAllocs bounds what a warm port allocates after a
+// one-filler edit of the serve-edit module: at most 1.5 MB, the least
+// of three edit-then-port rounds. A port whose replay, alias map or
+// fence search again builds a record per memory access, rather than
+// per shared access, allocates about 3.7 MB here.
+func TestWarmPortAllocs(t *testing.T) {
+	s, fillers := loadFillerSession(t)
+	if _, _, err := s.port(context.Background(), 1, nil); err != nil {
+		t.Fatalf("cold port: %v", err)
+	}
+	least := uint64(1 << 63)
+	for i := 0; i < 3; i++ {
+		if _, _, err := s.edit([]string{fillerDelta(s.base, i%fillers, (i+1)%fillers)}, nil); err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, rep, err := s.port(context.Background(), 1, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("warm port %d: %v", i, err)
+		}
+		if rep.CacheMisses != 1 {
+			t.Fatalf("warm port %d re-analyzed %d functions, want 1", i, rep.CacheMisses)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a warm port allocates %.2f MB", float64(least)/(1<<20))
+	if least > 3<<19 {
+		t.Errorf("a warm port allocates %.2f MB, want <= 1.5 MB", float64(least)/(1<<20))
+	}
+}
+
 // TestWarmPortCopiesWhatItWrites: a warm port after a one-filler edit
 // of the serve-edit module copies fewer than a quarter of the snapshot
 // functions and shares the rest, while the cold port copies them all,
