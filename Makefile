@@ -244,6 +244,7 @@ fuzz-smoke:
 	$(GO) test -run none -fuzz FuzzLocality -fuzztime $(FUZZTIME) ./internal/analysis
 	$(GO) test -run none -fuzz FuzzMinimize -fuzztime $(FUZZTIME) ./internal/stress
 	$(GO) test -run none -fuzz FuzzSessionEdit -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run none -fuzz FuzzSourceMatchesMathRand -fuzztime $(FUZZTIME) ./internal/vm
 
 clean:
 	$(GO) clean ./...

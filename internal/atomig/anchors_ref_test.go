@@ -123,12 +123,14 @@ func newFenceInputs(m *ir.Module, workers int, det []funcDetect, accs [][]alias.
 // TestFenceAnchorsMatchWalk checks the fence search over shared
 // accesses against the instruction walk it replaced, at 1 and 4
 // workers, on the corpus, the alias fuzz seeds and a 20k-line generated
-// module, each inlined as a session inlines it and once more ported
+// module, each inlined as a session inlines it and then ported
+// portDepth times over, each port taking the one before as its input
 // (where every anchor already has its fence). The reference reads all
 // accesses and a map built from them. Each function is checked as the
 // pipeline owns it, and once more after a write has copied it late, as
 // a sticky buddy does, with the reference walking the copy.
 func TestFenceAnchorsMatchWalk(t *testing.T) {
+	const portDepth = 3
 	modules := map[string]*ir.Module{}
 	compile := func(name, src string) *ir.Module {
 		res, err := minic.Compile(name, src)
@@ -150,12 +152,20 @@ func TestFenceAnchorsMatchWalk(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Inline = false
-	for name, m := range modules {
-		ported, _, err := PortClone(m, opts)
-		if err != nil {
-			t.Fatalf("port %s: %v", name, err)
+	sources := make([]string, 0, len(modules))
+	for name := range modules {
+		sources = append(sources, name)
+	}
+	for _, name := range sources {
+		m := modules[name]
+		for range portDepth {
+			ported, _, err := PortClone(m, opts)
+			if err != nil {
+				t.Fatalf("port %s: %v", name, err)
+			}
+			name, m = name+"/ported", ported
+			modules[name] = m
 		}
-		modules[name+"/ported"] = ported
 	}
 	names := make([]string, 0, len(modules))
 	for name := range modules {

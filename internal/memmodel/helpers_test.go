@@ -43,7 +43,7 @@ func (mc *Machine) HistoryLen(a Addr) int { return len(mc.loc(Cell(a), a).hist) 
 // EligibleReads returns the timestamps a load may read at address a
 // (cell a).
 func (mc *Machine) EligibleReads(t *Thread, a Addr, ord AccessOrd) []int {
-	start, n := mc.eligible(t, Cell(a), a, ord)
+	start, n := mc.eligible(t, mc.loc(Cell(a), a), a, ord)
 	out := make([]int, n)
 	for i := range out {
 		out[i] = start + i

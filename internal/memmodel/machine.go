@@ -151,7 +151,7 @@ func (t *Thread) Reset() { t.View.Reset() }
 func (t *Thread) JoinThread(o *Thread) { t.View.Join(o.View.ents) }
 
 // eligible returns the messages a load with the given effective
-// ordering may read at cell c (address a): n messages starting at
+// ordering may read at cell cl (address a): n messages starting at
 // timestamp start, always ending at the newest. On an SC machine every
 // load sees only the newest message. Under the weak models, loads —
 // including SC-atomic loads — may read any message at or above the
@@ -162,8 +162,8 @@ func (t *Thread) JoinThread(o *Thread) { t.View.Join(o.View.ents) }
 // SC ordering between fenced accesses is restored by Fence's
 // global-view synchronization; atomic read-modify-writes always read
 // the newest message (hardware exclusives fail on stale lines).
-func (mc *Machine) eligible(t *Thread, c Cell, a Addr, ord AccessOrd) (start, n int) {
-	h := mc.loc(c, a).hist
+func (mc *Machine) eligible(t *Thread, cl *cell, a Addr, ord AccessOrd) (start, n int) {
+	h := cl.hist
 	if mc.Model == ModelSC {
 		return len(h) - 1, 1
 	}
@@ -176,9 +176,10 @@ func (mc *Machine) eligible(t *Thread, c Cell, a Addr, ord AccessOrd) (start, n 
 // timestamp of the message read — the identity instrumentation (race
 // detection) needs to follow reads-from edges precisely.
 func (mc *Machine) LoadT(t *Thread, c Cell, a Addr, ord AccessOrd) (int64, int) {
-	start, n := mc.eligible(t, c, a, ord)
+	cl := mc.loc(c, a) // the oracle sees no cell, so cl outlives PickRead
+	start, n := mc.eligible(t, cl, a, ord)
 	ts := start + mc.oracle.PickRead(a, n)
-	return mc.finishLoad(t, mc.cells.At(c), ord, ts), ts
+	return mc.finishLoad(t, cl, ord, ts), ts
 }
 
 // finishLoad applies the view effects of reading message ts of cl.

@@ -2,6 +2,7 @@ package stress
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -262,5 +263,41 @@ func TestPooledVMReuse(t *testing.T) {
 	wantRuns := int64(res.Schedules)
 	if res.VMAllocs+res.VMResets != wantRuns {
 		t.Errorf("allocs(%d)+resets(%d) != schedules(%d)", res.VMAllocs, res.VMResets, wantRuns)
+	}
+}
+
+// TestScreenSweepAllocs bounds what a sweep shaped like the weakener's
+// stress screen (32 seeds per mode, every location observed, one
+// worker) allocates on ported ck_spinlock_mcs: at most 400 KB, the least
+// of three sweeps. Its module numbers over 4,100 cells while a schedule
+// touches at most 15; per-cell tables sized by cell number allocate
+// about 960 KB here.
+func TestScreenSweepAllocs(t *testing.T) {
+	p := corpus.Get("ck_spinlock_mcs")
+	m, err := p.Compile()
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	if _, err := atomig.Port(m, atomig.DefaultOptions()); err != nil {
+		t.Fatalf("port: %v", err)
+	}
+	opts := Options{Model: memmodel.ModelWMM, Entries: p.MCEntries, Seeds: 32, Sample: 1, Workers: 1}
+	least := uint64(1 << 63)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Sweep(m, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("sweep: %v", err)
+		}
+		if res.Schedules != 160 {
+			t.Fatalf("swept %d schedules, want 160", res.Schedules)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a screen sweep allocates %.0f KB", float64(least)/1024)
+	if least > 400<<10 {
+		t.Errorf("a screen sweep allocates %.0f KB, want <= 400 KB", float64(least)/1024)
 	}
 }

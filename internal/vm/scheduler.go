@@ -98,7 +98,7 @@ func GridSeed(base int64, mode SchedMode, seed int64) int64 {
 	x = splitmix(x + 0x9e3779b97f4a7c15*uint64(mode+1))
 	x = splitmix(x + uint64(seed))
 	if x == 0 {
-		x = 0x9e3779b97f4a7c15 // rand.NewSource(0) is valid but keep seeds nonzero for legibility
+		x = 0x9e3779b97f4a7c15 // seed 0 is valid (it seeds as 89482311) but keep seeds nonzero for legibility
 	}
 	return int64(x)
 }
@@ -122,8 +122,9 @@ func NewScheduler(mode SchedMode, seed int64) Scheduler {
 // WorkerScheduler is the scheduler a sweep worker reseeds for each
 // schedule of its share of the grid: one generator and one scheduler of
 // each mode, so a schedule allocates nothing. After Reseed(mode, seed)
-// it makes exactly the decisions of NewScheduler(mode, seed), because
-// Rand.Seed restores the stream of a freshly seeded source.
+// it makes exactly the decisions of NewScheduler(mode, seed): seeding
+// rewrites the whole generator state (in closed form, rng.go), so a
+// reseeded generator yields a fresh one's stream.
 type WorkerScheduler struct {
 	rng     *rand.Rand
 	cur     Scheduler
@@ -137,7 +138,7 @@ type WorkerScheduler struct {
 // NewWorkerScheduler returns a worker scheduler; call Reseed before
 // each schedule.
 func NewWorkerScheduler() *WorkerScheduler {
-	return &WorkerScheduler{rng: rand.New(rand.NewSource(1))}
+	return &WorkerScheduler{rng: rand.New(new(lfgSource))}
 }
 
 // Reseed starts the mode's scheduler afresh on seed.

@@ -41,7 +41,7 @@ type RandomController struct{ Rng *rand.Rand }
 
 // NewRandomController returns a controller seeded with seed.
 func NewRandomController(seed int64) *RandomController {
-	return &RandomController{Rng: rand.New(rand.NewSource(seed))}
+	return &RandomController{Rng: rand.New(newSource(seed))}
 }
 
 // PickThread selects a uniformly random runnable thread.

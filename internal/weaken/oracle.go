@@ -54,14 +54,17 @@ const (
 // stressScreenAbove is the baseline size, in checker executions, above
 // which the default oracle screens candidates with a stress sweep
 // instead of the checker. A screen sweep runs a fixed 160 schedules
-// (defaultStressSeeds per scheduler mode), and one schedule costs about
-// six checker executions of the same program, so the sweep is the
-// cheaper screen from about 1,000 baseline executions on. Measured as
-// a run's total screening time on the corpus (one worker,
-// GOMAXPROCS=1, 2-vCPU host), checker screens won up to seqlock's 757
-// baseline executions (170 against 216 ms), and stress screens from
-// dcl-spin's 1,180 (69 against 78 ms) to cna-lock's 3,587 (1,171
-// against 3,363 ms).
+// (defaultStressSeeds per scheduler mode). The constant dates from when
+// one schedule cost about six checker executions of the same program,
+// which put the crossover near 1,000; one now costs about three, and
+// the crossover, measured as a run's total screening time on the
+// corpus (one worker, GOMAXPROCS=1, 2-vCPU host), lies between
+// ck_spinlock_ticket's 443 baseline executions (checker screens 7.1
+// against 13.8 ms) and ck_stack's 603 (60.0 against 48.9 ms), and
+// stress screens win from there to cna-lock's 3,587 (756.5 against
+// 140.1 ms). So
+// ck_stack and seqlock (757) screen on the slower engine until the
+// rule is re-decided (docs/STRESS.md, "The weakening oracle").
 const stressScreenAbove = 1000
 
 // AllOracleModes lists the modes in parse order.
